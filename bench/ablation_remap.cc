@@ -17,10 +17,9 @@
  * remap-on run the migration counters plus the copy overhead as a
  * percentage of total per-vault DRAM cycles.
  *
- * Usage: ablation_remap [--cycles N] [--threads N] [--theta T]
- *                       [--json PATH] [--csv]
- *        (defaults: 1M measured core cycles, 1 kernel thread,
- *        theta 0.99, BENCH_remap.json)
+ * Usage: ablation_remap [--cycles N] [--theta T] [--json PATH] [--csv]
+ *        (defaults: 1M measured core cycles, theta 0.99,
+ *        BENCH_remap.json)
  *
  * Honors CLOUDMC_FAST=<divisor> like the experiment runner (the CI
  * smoke runs with CLOUDMC_FAST=50). The improvement gate (exit 2 when
@@ -193,16 +192,12 @@ int
 main(int argc, char **argv)
 {
     std::uint64_t cycles = 1'000'000;
-    std::uint32_t kernelThreads = 1;
     double theta = 0.99;
     std::string jsonPath = "BENCH_remap.json";
     bool csv = false;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--cycles") == 0 && i + 1 < argc)
             cycles = std::strtoull(argv[++i], nullptr, 10);
-        else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-            kernelThreads = static_cast<std::uint32_t>(
-                std::strtoul(argv[++i], nullptr, 10));
         else if (std::strcmp(argv[i], "--theta") == 0 && i + 1 < argc)
             theta = std::strtod(argv[++i], nullptr);
         else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
@@ -220,7 +215,6 @@ main(int argc, char **argv)
 
     SimConfig cfg = SimConfig::baseline();
     cfg.applyDevice(dramDeviceOrDie("HMC2-8GB"));
-    cfg.kernelThreads = kernelThreads;
     cfg.warmupCoreCycles = cycles / 4;
     cfg.measureCoreCycles = cycles;
     // A modest MLP window keeps the skewed vault queues under real
@@ -272,11 +266,8 @@ main(int argc, char **argv)
                         mon.remapMigratedRows));
     } else {
         std::printf("remap ablation: HMC2-8GB, %u vault(s), Zipf theta "
-                    "%.2f, %llu measured core cycles, %u kernel "
-                    "thread(s)\n",
-                    vaults, theta,
-                    static_cast<unsigned long long>(cycles),
-                    kernelThreads);
+                    "%.2f, %llu measured core cycles\n",
+                    vaults, theta, static_cast<unsigned long long>(cycles));
         std::printf("  remap off: IPC %.4f, read avg %.1f cy, p99 %.1f "
                     "cy, vault imbalance %.2fx\n",
                     moff.userIpc, moff.avgReadLatency,
@@ -307,7 +298,6 @@ main(int argc, char **argv)
         "  \"vaults\": %u,\n"
         "  \"zipf_theta\": %.2f,\n"
         "  \"measure_core_cycles\": %llu,\n"
-        "  \"kernel_threads\": %u,\n"
         "  \"remap_window_accesses\": %llu,\n"
         "  \"remap_off\": {\n"
         "    \"ipc\": %.4f,\n"
@@ -327,7 +317,7 @@ main(int argc, char **argv)
         "  \"p99_improvement_pct\": %.2f\n"
         "}\n",
         gitSha().c_str(), vaults, theta,
-        static_cast<unsigned long long>(cycles), kernelThreads,
+        static_cast<unsigned long long>(cycles),
         static_cast<unsigned long long>(cfg.remap.windowAccesses),
         moff.userIpc, moff.avgReadLatency, moff.readLatencyP99,
         moff.vaultQueueImbalance, mon.userIpc, mon.avgReadLatency,

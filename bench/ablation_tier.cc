@@ -23,12 +23,11 @@
  * fast-tier hit fraction, the slow-tier read p99, and the migration
  * counters plus copy overhead as a share of DRAM cycles.
  *
- * Usage: ablation_tier [--cycles N] [--threads N] [--theta T]
- *                      [--json PATH] [--csv]
+ * Usage: ablation_tier [--cycles N] [--theta T] [--json PATH] [--csv]
  *        (defaults: 4M measured core cycles — the monitor needs the
  *        placement to converge inside warmup so the measured window
- *        shows steady-state overhead, not the learning ramp — 1
- *        kernel thread, theta 0.99, BENCH_tier.json)
+ *        shows steady-state overhead, not the learning ramp — theta
+ *        0.99, BENCH_tier.json)
  *
  * Honors CLOUDMC_FAST=<divisor> like the experiment runner (the CI
  * smoke runs with CLOUDMC_FAST=50). The improvement gate (exit 2 when
@@ -207,16 +206,12 @@ int
 main(int argc, char **argv)
 {
     std::uint64_t cycles = 4'000'000;
-    std::uint32_t kernelThreads = 1;
     double theta = 0.99;
     std::string jsonPath = "BENCH_tier.json";
     bool csv = false;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--cycles") == 0 && i + 1 < argc)
             cycles = std::strtoull(argv[++i], nullptr, 10);
-        else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-            kernelThreads = static_cast<std::uint32_t>(
-                std::strtoul(argv[++i], nullptr, 10));
         else if (std::strcmp(argv[i], "--theta") == 0 && i + 1 < argc)
             theta = std::strtod(argv[++i], nullptr);
         else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
@@ -233,7 +228,6 @@ main(int argc, char **argv)
     cycles = std::max<std::uint64_t>(cycles / fastDiv, 10'000);
 
     SimConfig cfg = SimConfig::baseline();
-    cfg.kernelThreads = kernelThreads;
     cfg.warmupCoreCycles = cycles / 4;
     cfg.measureCoreCycles = cycles;
     // A modest MLP window keeps the skewed queues under real
@@ -295,11 +289,10 @@ main(int argc, char **argv)
     } else {
         std::printf("tier ablation: %s fast tier at %u%%, slow +%u DRAM "
                     "cycles at %u%% bandwidth, Zipf theta %.2f, %llu "
-                    "measured core cycles, %u kernel thread(s)\n",
+                    "measured core cycles\n",
                     cfg.deviceName.c_str(), cfg.tier.fastCapacityPct,
                     cfg.tier.slowLatencyDramCycles, cfg.tier.slowBwPct,
-                    theta, static_cast<unsigned long long>(cycles),
-                    kernelThreads);
+                    theta, static_cast<unsigned long long>(cycles));
         for (const PolicyResult &r : results) {
             std::printf(
                 "  %-13s IPC %.4f, read avg %.1f cy, p99 %.1f cy, "
@@ -332,12 +325,11 @@ main(int argc, char **argv)
                  "  \"slow_bw_pct\": %u,\n"
                  "  \"zipf_theta\": %.2f,\n"
                  "  \"measure_core_cycles\": %llu,\n"
-                 "  \"kernel_threads\": %u,\n"
                  "  \"monitor_window_samples\": %u,\n",
                  gitSha().c_str(), cfg.deviceName.c_str(),
                  cfg.tier.fastCapacityPct, cfg.tier.slowLatencyDramCycles,
                  cfg.tier.slowBwPct, theta,
-                 static_cast<unsigned long long>(cycles), kernelThreads,
+                 static_cast<unsigned long long>(cycles),
                  cfg.tier.monitorWindowSamples);
     for (const PolicyResult &r : results) {
         std::fprintf(

@@ -12,20 +12,16 @@
  *    System as the golden model), i.e. the pre-refactor throughput
  *    measured on the same build, host and config
  *
- * With --kernel-threads N > 1 a third run exercises the epoch-sharded
- * parallel kernel and stamps its throughput plus self_speedup (the
- * parallel/serial event-kernel ratio on this host).
- *
- * The smoke also cross-checks that every kernel produces bit-identical
+ * The smoke also cross-checks that both kernels produce bit-identical
  * metrics, the event kernel's core contract, and that the fairness
  * (schema v4) and stacked-backend (schema v6) MetricSet fields survive
  * a results-cache round-trip.
  *
  * Usage: kernel_smoke [--cycles N] [--workload ACR] [--device DEV]
- *                     [--channels N] [--kernel-threads N]
+ *                     [--channels N]
  *                     [--json PATH] [--check-regression BASELINE]
  *        (defaults: 2M measured core cycles, WS, DDR3-1600, 1 channel,
- *        1 thread, BENCH_kernel.json)
+ *        BENCH_kernel.json)
  *
  * Entries are stamped with the git SHA and the device name, so the
  * accumulated perf trajectory is attributable to a commit and a
@@ -40,12 +36,9 @@
  * --check-regression reads the committed BASELINE json (normally the
  * in-tree BENCH_kernel*.json stamped by the last perf-affecting PR)
  * before this run overwrites anything, and exits 4 if the measured
- * speedup_vs_reference fell more than 15% below it — likewise for
- * self_speedup when both the baseline carries one and the host has
- * at least two hardware threads (a single-CPU host cannot exhibit
- * parallel speedup, so the clause would only measure scheduler
- * noise there). The speedups are same-host kernel ratios, so the
- * guard transfers across machines of different absolute speed.
+ * speedup_vs_reference fell more than 15% below it. The speedup is a
+ * same-host kernel ratio, so the guard transfers across machines of
+ * different absolute speed.
  */
 
 #include <cctype>
@@ -82,12 +75,11 @@ struct KernelRun
 KernelRun
 runOnce(WorkloadId wl, const DramDevice &dev,
         std::uint64_t measureCycles, bool reference,
-        std::uint32_t channels = 1, std::uint32_t kernelThreads = 1)
+        std::uint32_t channels = 1)
 {
     SimConfig cfg = SimConfig::baseline();
     cfg.applyDevice(dev);
     cfg.dram.channels = channels;
-    cfg.kernelThreads = kernelThreads;
     cfg.warmupCoreCycles = measureCycles / 4;
     cfg.measureCoreCycles = measureCycles;
     System sys(cfg, workloadPreset(wl));
@@ -373,7 +365,6 @@ main(int argc, char **argv)
     std::string jsonPath = "BENCH_kernel.json";
     std::string regressionBaseline;
     std::uint32_t channels = 1;
-    std::uint32_t kernelThreads = 1;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--cycles") == 0 && i + 1 < argc)
             cycles = std::strtoull(argv[++i], nullptr, 10);
@@ -383,10 +374,6 @@ main(int argc, char **argv)
             device = argv[++i];
         else if (std::strcmp(argv[i], "--channels") == 0 && i + 1 < argc)
             channels = static_cast<std::uint32_t>(
-                std::strtoul(argv[++i], nullptr, 10));
-        else if (std::strcmp(argv[i], "--kernel-threads") == 0 &&
-                 i + 1 < argc)
-            kernelThreads = static_cast<std::uint32_t>(
                 std::strtoul(argv[++i], nullptr, 10));
         else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
             jsonPath = argv[++i];
@@ -403,34 +390,13 @@ main(int argc, char **argv)
         regressionBaseline.empty()
             ? -1.0
             : baselineValue(regressionBaseline, "speedup_vs_reference");
-    const double baseSelfSpeedup =
-        regressionBaseline.empty()
-            ? -1.0
-            : baselineValue(regressionBaseline, "self_speedup");
-    const double baseHostHw =
-        regressionBaseline.empty()
-            ? -1.0
-            : baselineValue(regressionBaseline, "host_hw_concurrency");
 
     const KernelRun ref = runOnce(wl, dev, cycles, true, channels);
     const KernelRun ev = runOnce(wl, dev, cycles, false, channels);
-    bool bitIdentical =
+    const bool bitIdentical =
         identical(ev.metrics, ref.metrics) && ev.endTick == ref.endTick;
     const double speedup =
         ref.mticksPerS > 0.0 ? ev.mticksPerS / ref.mticksPerS : 0.0;
-
-    // The epoch-sharded parallel kernel: measured against the serial
-    // event kernel on the same host (self_speedup) and held to the
-    // same bit-identity contract as serial-vs-reference.
-    KernelRun par;
-    double selfSpeedup = 0.0;
-    if (kernelThreads > 1) {
-        par = runOnce(wl, dev, cycles, false, channels, kernelThreads);
-        bitIdentical = bitIdentical && identical(par.metrics, ev.metrics) &&
-                       par.endTick == ev.endTick;
-        selfSpeedup =
-            ev.mticksPerS > 0.0 ? par.mticksPerS / ev.mticksPerS : 0.0;
-    }
     const bool fairnessRoundtrip =
         fairnessCacheRoundtrips(wl, dev, jsonPath + ".cache.tmp.csv");
     const bool stackedRoundtrip =
@@ -448,12 +414,6 @@ main(int argc, char **argv)
                 100.0 * ev.batchedFrac, 100.0 * ev.ctlTicksFrac);
     std::printf("  reference kernel: %7.2f Mticks/s (%.3f s)\n",
                 ref.mticksPerS, ref.wallS);
-    if (kernelThreads > 1) {
-        std::printf("  parallel kernel:  %7.2f Mticks/s (%.3f s, %u "
-                    "threads, self-speedup %.2fx, host hw %u)\n",
-                    par.mticksPerS, par.wallS, kernelThreads, selfSpeedup,
-                    hostHw);
-    }
     std::printf("  speedup %.2fx, metrics bit-identical: %s\n", speedup,
                 bitIdentical ? "yes" : "NO");
     std::printf("  fairness fields survive cache round-trip: %s\n",
@@ -481,7 +441,6 @@ main(int argc, char **argv)
         "  \"clock_ratios\": \"%llu:%llu\",\n"
         "  \"measure_core_cycles\": %llu,\n"
         "  \"sim_ticks\": %llu,\n"
-        "  \"threads\": %u,\n"
         "  \"host_hw_concurrency\": %u,\n"
         "  \"event_kernel\": {\n"
         "    \"mticks_per_s\": %.3f,\n"
@@ -494,35 +453,25 @@ main(int argc, char **argv)
         "  \"reference_kernel\": {\n"
         "    \"mticks_per_s\": %.3f,\n"
         "    \"wall_s\": %.4f\n"
-        "  },\n",
+        "  },\n"
+        "  \"speedup_vs_reference\": %.3f,\n"
+        "  \"metrics_bit_identical\": %s,\n"
+        "  \"fairness_cache_roundtrip\": %s,\n"
+        "  \"stacked_cache_roundtrip\": %s,\n"
+        "  \"tiered_cache_roundtrip\": %s\n"
+        "}\n",
         gitSha().c_str(), workload.c_str(), dev.name.c_str(), channels,
         static_cast<unsigned long long>(clk.ticksPerCore.count()),
         static_cast<unsigned long long>(clk.ticksPerDram.count()),
         static_cast<unsigned long long>(cycles),
-        static_cast<unsigned long long>(ev.endTick.count()), kernelThreads,
-        hostHw, ev.mticksPerS, ev.wallS, ev.coreTicksFrac, ev.ctlTicksFrac,
+        static_cast<unsigned long long>(ev.endTick.count()), hostHw,
+        ev.mticksPerS, ev.wallS, ev.coreTicksFrac, ev.ctlTicksFrac,
         ev.batchedFrac, static_cast<unsigned long long>(ev.batchRuns),
-        ref.mticksPerS, ref.wallS);
-    if (kernelThreads > 1) {
-        std::fprintf(f,
-                     "  \"parallel_kernel\": {\n"
-                     "    \"mticks_per_s\": %.3f,\n"
-                     "    \"wall_s\": %.4f\n"
-                     "  },\n"
-                     "  \"self_speedup\": %.3f,\n",
-                     par.mticksPerS, par.wallS, selfSpeedup);
-    }
-    std::fprintf(f,
-                 "  \"speedup_vs_reference\": %.3f,\n"
-                 "  \"metrics_bit_identical\": %s,\n"
-                 "  \"fairness_cache_roundtrip\": %s,\n"
-                 "  \"stacked_cache_roundtrip\": %s,\n"
-                 "  \"tiered_cache_roundtrip\": %s\n"
-                 "}\n",
-                 speedup, bitIdentical ? "true" : "false",
-                 fairnessRoundtrip ? "true" : "false",
-                 stackedRoundtrip ? "true" : "false",
-                 tieredRoundtrip ? "true" : "false");
+        ref.mticksPerS, ref.wallS, speedup,
+        bitIdentical ? "true" : "false",
+        fairnessRoundtrip ? "true" : "false",
+        stackedRoundtrip ? "true" : "false",
+        tieredRoundtrip ? "true" : "false");
     std::fclose(f);
     if (!bitIdentical)
         return 2;
@@ -539,21 +488,6 @@ main(int argc, char **argv)
                     speedup, baseSpeedup, floor,
                     speedup >= floor ? "ok" : "REGRESSION");
         if (speedup < floor)
-            return 4;
-    }
-    // The self-speedup clause arms only where parallel speedup is
-    // physically possible AND the floor is meaningful: an MT run
-    // checked against an MT baseline, with both this host and the
-    // baseline's stamped host multi-core (a 1-vCPU stamp records
-    // self_speedup < 1 and would make the floor vacuous).
-    if (kernelThreads > 1 && baseSelfSpeedup > 0.0 && hostHw >= 2 &&
-        baseHostHw >= 2.0) {
-        const double floor = 0.85 * baseSelfSpeedup;
-        std::printf("  self-speedup guard: measured %.2fx vs baseline "
-                    "%.2fx (floor %.2fx): %s\n",
-                    selfSpeedup, baseSelfSpeedup, floor,
-                    selfSpeedup >= floor ? "ok" : "REGRESSION");
-        if (selfSpeedup < floor)
             return 4;
     }
     return 0;

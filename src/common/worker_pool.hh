@@ -1,35 +1,22 @@
 /**
  * @file
- * The shared worker pool and the epoch barrier: the only place in the
- * simulator that may construct raw threads.
+ * The shared worker pool: the only place in the simulator that may
+ * construct raw threads.
  *
- * Two layers of parallelism draw from one thread budget (see
- * README "Thread-budget sharing"): the experiment sweep pool runs
- * independent simulation points concurrently, and the epoch-sharded
- * event kernel splits one simulation's shards across workers. Both
- * route through WorkerPool so the budget arithmetic stays in one
- * place and the determinism linter can pin thread construction to
- * this file (rule `raw-thread`).
+ * A simulation runs on one thread; the experiment sweep pool
+ * (ExperimentRunner::runAll) and cloudbench run independent points
+ * concurrently through WorkerPool, so the determinism linter can pin
+ * thread construction to this file (rule `raw-thread`).
  *
  * WorkerPool is a dispatch pool: run(parties, job) executes
  * job(0..parties-1) with job(0) on the calling thread and the rest on
  * persistent workers, then blocks until all return. Dispatch costs a
- * mutex/condvar round trip, so it is paid once per advance() window or
- * sweep batch — the per-epoch synchronization inside the kernel uses
- * the much cheaper SpinBarrier below.
- *
- * SpinBarrier is a sense-reversing barrier for the kernel's epoch
- * loop: hundreds of thousands of crossings per simulated second, so
- * arrival spins on an atomic generation counter before yielding. On a
- * single-hardware-thread host spinning only burns the quantum the
- * other parties need, so the spin budget collapses to zero there and
- * every wait yields immediately.
+ * mutex/condvar round trip, paid once per sweep batch.
  */
 
 #ifndef CLOUDMC_COMMON_WORKER_POOL_HH
 #define CLOUDMC_COMMON_WORKER_POOL_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -38,60 +25,6 @@
 #include <vector>
 
 namespace mcsim {
-
-/**
- * Sense-reversing spin barrier. All @p parties threads must call
- * arriveAndWait() the same number of times; the last arrival of each
- * generation releases the rest. Release/acquire ordering on the
- * generation counter makes everything written before a thread's
- * arrival visible to every thread after the crossing — the epoch
- * kernel's staged-queue handoff relies on exactly that edge.
- */
-class SpinBarrier
-{
-  public:
-    explicit SpinBarrier(unsigned parties)
-        : parties_(parties), spinLimit_(defaultSpinLimit())
-    {
-    }
-
-    SpinBarrier(unsigned parties, unsigned spinLimit)
-        : parties_(parties), spinLimit_(spinLimit)
-    {
-    }
-
-    void
-    arriveAndWait()
-    {
-        const std::uint32_t gen =
-            generation_.load(std::memory_order_relaxed);
-        if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-            parties_) {
-            arrived_.store(0, std::memory_order_relaxed);
-            generation_.store(gen + 1, std::memory_order_release);
-            return;
-        }
-        unsigned spins = 0;
-        while (generation_.load(std::memory_order_acquire) == gen) {
-            if (++spins > spinLimit_)
-                std::this_thread::yield();
-        }
-    }
-
-    /** Spin budget before yielding: 0 when the host has a single
-     *  hardware thread (spinning there can only delay the release). */
-    static unsigned
-    defaultSpinLimit()
-    {
-        return std::thread::hardware_concurrency() > 1 ? 4096 : 0;
-    }
-
-  private:
-    std::atomic<std::uint32_t> generation_{0};
-    std::atomic<std::uint32_t> arrived_{0};
-    unsigned parties_;
-    unsigned spinLimit_;
-};
 
 /**
  * Persistent worker pool with caller participation.

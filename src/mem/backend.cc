@@ -276,10 +276,10 @@ class VaultRemapper
  * is its own single-channel Channel (so the vault-local command/data
  * buses and refresh are modeled independently) with a MemController
  * queue in front; the global queue index is stack * vaults + vault,
- * which is what coord.channel carries, so the event kernel's routing
- * and the parallel kernel's per-channel sharding decompose per vault
- * group with no kernel changes. The TSV return-path crossing is the
- * device's tTSV timing, charged by the Channel on read data return.
+ * which is what coord.channel carries, so the kernels' routing
+ * decomposes per vault with no kernel changes. The TSV return-path
+ * crossing is the device's tTSV timing, charged by the Channel on read
+ * data return.
  *
  * Static routing comes from an AddressMapper over the flattened
  * geometry (stacks * vaults "channels" of one rank), i.e. the
@@ -469,9 +469,8 @@ class StackedDramBackend final : public MemBackend
  * the tTSV hook, exactly like a stacked part's vault-to-logic-layer
  * crossing) and a service-rate bandwidth throttle (the tCCD/tCCD_L/
  * tBURST timings stretch by 100/slowBwPct). The slow tier adds
- * cfg.dram.channels queues after the fast tier's, so the event
- * kernel's routing and the parallel kernel's per-queue sharding
- * decompose over both tiers with no kernel changes.
+ * cfg.dram.channels queues after the fast tier's, so the kernels'
+ * routing decomposes over both tiers with no kernel changes.
  *
  * Placement is tracked per "tile" — a power-of-two span of whole rows
  * sized so the tile map stays bounded (<= 64 Ki tiles). The address
@@ -489,9 +488,9 @@ class StackedDramBackend final : public MemBackend
  * row's slot (a one-row migration with the same availableAt gate).
  *
  * All policy state (tile map, monitor, tags) mutates only inside
- * route(), which every kernel calls in identical global order — the
- * property that keeps tiered runs bit-identical across the reference,
- * event, and parallel kernels.
+ * route(), which both kernels call in identical global order — the
+ * property that keeps tiered runs bit-identical across the reference
+ * and event kernels.
  */
 class TieredMemBackend final : public MemBackend
 {

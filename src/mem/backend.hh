@@ -9,16 +9,13 @@
  *
  *  - queue(i).enqueue()/tick(): one controller per backend queue;
  *    tick() returns the next-due tick (the event-kernel contract) and
- *    arrivals re-arm a sleeping queue. The epoch-sharded parallel
- *    kernel shards queues by index (i % shards), so a backend's queue
- *    numbering is also its parallel decomposition.
+ *    arrivals re-arm a sleeping queue.
  *  - route(): stamp a request's DramCoord so coord.channel is the
- *    global queue index the System routes and shards by. route() is
- *    the only entry point that may mutate backend-global policy state
- *    (e.g. the stacked backend's remap tables): it runs on the core
- *    shard / serial thread in an order identical across the reference,
- *    event, and parallel kernels, which is what keeps dynamic
- *    remapping bit-identical under every kernel.
+ *    global queue index the System routes by. route() is the only
+ *    entry point that may mutate backend-global policy state (e.g. the
+ *    stacked backend's remap tables): it runs in an order identical
+ *    across the reference and event kernels, which is what keeps
+ *    dynamic remapping bit-identical under both.
  *  - resetStats()/collect()/busUtilization(): the statistics window
  *    contract behind MetricSet, including the energy model.
  *
@@ -142,7 +139,7 @@ class MemBackend
 
     virtual MemBackendKind kind() const = 0;
 
-    /** Independent controller queues (the parallel-kernel shards). */
+    /** Independent controller queues (indexed by coord.channel). */
     virtual std::uint32_t numQueues() const = 0;
     virtual MemController &queue(std::uint32_t i) = 0;
 

@@ -17,7 +17,7 @@
  * Everything is an ordered std::vector with lowest-index tie-breaks
  * and integer/bit arithmetic, so two monitors fed the same access
  * sequence stay bit-identical — the property the tiered backend's
- * route()-driven migration policies rely on under all three kernels.
+ * route()-driven migration policies rely on under both kernels.
  */
 
 #ifndef CLOUDMC_MEM_HOTNESS_MONITOR_HH

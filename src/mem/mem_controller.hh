@@ -106,9 +106,7 @@ class MemController
 {
   public:
     /** Completion callback: the finished request plus the tick the
-     *  controller completed it at (== the tick() argument). The
-     *  explicit tick lets the epoch-sharded kernel stage completions
-     *  from a shard thread without reading the system clock. */
+     *  controller completed it at (== the tick() argument). */
     using CompletionFn = std::function<void(Request *, Tick)>;
 
     MemController(Channel &channel, std::unique_ptr<Scheduler> scheduler,

@@ -89,6 +89,30 @@ class ParamsHasher
         return u64(bits);
     }
 
+    /** Every DramTimings field, in declaration order. */
+    ParamsHasher &
+    timings(const DramTimings &t)
+    {
+        for (const std::uint32_t v :
+             {t.tCAS, t.tRCD, t.tRP, t.tRAS, t.tRC, t.tWR, t.tWTR, t.tWTRL,
+              t.tRTP, t.tRRD, t.tRRDL, t.tFAW, t.tCWL, t.tBURST, t.tCCD,
+              t.tCCDL, t.tRTW, t.tCS, t.tREFI, t.tRFC}) {
+            u64(v);
+        }
+        return u64(t.perBankRefresh ? 1 : 0).u64(t.tRFCpb).u64(t.tTSV);
+    }
+
+    /** Every DramPowerParams field, in declaration order. */
+    ParamsHasher &
+    power(const DramPowerParams &p)
+    {
+        for (const double v :
+             {p.vdd, p.idd0, p.idd2n, p.idd3n, p.idd4r, p.idd4w, p.idd5b}) {
+            f64(v);
+        }
+        return u64(p.devicesPerRank);
+    }
+
     std::uint64_t value() const { return h_; }
 
   private:
@@ -100,8 +124,9 @@ class ParamsHasher
  * the full SchedulerParams set (the old key fingerprinted only the
  * ATLAS quantum, so STFM-alpha or TCM sweeps aliased to one row),
  * page-policy-affecting controller knobs, refresh, crossbar latency,
- * and the geometry/hierarchy/core dimensions a hand-modified config
- * could change without changing the device name.
+ * and the geometry/hierarchy/core dimensions, DRAM timings and power
+ * a hand-modified config could change without changing the device
+ * name.
  */
 std::uint64_t
 paramsHash(const SimConfig &cfg)
@@ -156,6 +181,18 @@ paramsHash(const SimConfig &cfg)
     // cache rows stay recallable without a migration pass.
     if (cfg.timings.tTSV != 0)
         h.u64(cfg.timings.tTSV);
+    // Hand-tuned timings or power (anything that differs from the
+    // named registry device) are folded in whole; stock devices add
+    // nothing, so their keys stay byte-identical to the v5-v7 keys.
+    const DramDevice *dev = findDramDevice(cfg.deviceName);
+    if (!dev || ParamsHasher{}.timings(cfg.timings).value() !=
+                    ParamsHasher{}.timings(dev->timings).value()) {
+        h.timings(cfg.timings);
+    }
+    if (!dev || ParamsHasher{}.power(cfg.power).value() !=
+                    ParamsHasher{}.power(dev->power).value()) {
+        h.power(cfg.power);
+    }
     if (cfg.backend == MemBackendKind::StackedDram) {
         h.u64(cfg.dram.vaultsPerStack);
         h.u64(cfg.remap.enabled ? 1 : 0)
@@ -587,16 +624,13 @@ ExperimentRunner::appendToCache(const std::string &key, const MetricSet &m)
 
 MetricSet
 ExperimentRunner::simulate(WorkloadId workload, const SimConfig &cfg,
-                           std::uint32_t presetCores,
-                           std::uint32_t kernelThreads)
+                           std::uint32_t presetCores)
 {
     SimConfig effective = cfg;
     const std::uint64_t divisor = fastDivisor();
     effective.warmupCoreCycles = cfg.warmupCoreCycles / divisor;
     effective.measureCoreCycles =
         std::max<std::uint64_t>(cfg.measureCoreCycles / divisor, 100'000);
-    if (kernelThreads)
-        effective.kernelThreads = kernelThreads;
 
     WorkloadParams params = workloadPreset(workload);
     if (presetCores)
@@ -606,38 +640,22 @@ ExperimentRunner::simulate(WorkloadId workload, const SimConfig &cfg,
 }
 
 MetricSet
-ExperimentRunner::simulatePoint(const Point &p, std::uint32_t kernelThreads)
+ExperimentRunner::simulatePoint(const Point &p)
 {
     if (!p.makeGenerator)
-        return simulate(p.workload, p.cfg, p.presetCores, kernelThreads);
+        return simulate(p.workload, p.cfg, p.presetCores);
 
     SimConfig effective = p.cfg;
     const std::uint64_t divisor = fastDivisor();
     effective.warmupCoreCycles = p.cfg.warmupCoreCycles / divisor;
     effective.measureCoreCycles = std::max<std::uint64_t>(
         p.cfg.measureCoreCycles / divisor, 100'000);
-    if (kernelThreads)
-        effective.kernelThreads = kernelThreads;
 
     const auto generator = p.makeGenerator();
     mc_assert(generator && p.customCores >= 1,
               "custom experiment point needs a generator and cores");
     System system(effective, *generator, p.customCores);
     return system.run();
-}
-
-ExperimentRunner::ThreadSplit
-ExperimentRunner::planThreadSplit(std::size_t jobs, unsigned threads)
-{
-    if (threads <= 1 || jobs == 0)
-        return {1, 1};
-    if (jobs >= threads)
-        return {threads, 1};
-    // Fewer points than threads: run every point concurrently and
-    // hand each the same share of the leftover budget. The product
-    // sweepWorkers * shardThreads never exceeds the budget.
-    const unsigned sweep = static_cast<unsigned>(jobs);
-    return {sweep, threads / sweep};
 }
 
 void
@@ -811,11 +829,8 @@ ExperimentRunner::runAll(const std::vector<Point> &points, unsigned threads)
     }
 
     if (!jobs.empty()) {
-        // One budget feeds both parallelism layers: sweep workers
-        // here, epoch shards inside each simulation. The split keeps
-        // their product within `threads` so the batch never runs more
-        // runnable threads than the caller budgeted for.
-        const ThreadSplit split = planThreadSplit(jobs.size(), threads);
+        const unsigned workers = static_cast<unsigned>(
+            std::min<std::size_t>(jobs.size(), std::max(threads, 1u)));
         std::vector<MetricSet> jobResults(jobs.size());
         std::atomic<std::size_t> next{0};
         auto workerLoop = [&]() {
@@ -825,7 +840,7 @@ ExperimentRunner::runAll(const std::vector<Point> &points, unsigned threads)
                 if (j >= jobs.size())
                     return;
                 const Point &p = *work[jobs[j].workIdx].point;
-                const MetricSet m = simulatePoint(p, split.shardThreads);
+                const MetricSet m = simulatePoint(p);
                 jobResults[j] = m;
 
                 std::lock_guard<std::mutex> lock(mu_);
@@ -838,12 +853,11 @@ ExperimentRunner::runAll(const std::vector<Point> &points, unsigned threads)
             }
         };
 
-        if (split.sweepWorkers <= 1) {
+        if (workers <= 1) {
             workerLoop();
         } else {
-            WorkerPool pool(split.sweepWorkers - 1);
-            pool.run(split.sweepWorkers,
-                     [&](unsigned) { workerLoop(); });
+            WorkerPool pool(workers - 1);
+            pool.run(workers, [&](unsigned) { workerLoop(); });
         }
 
         for (std::size_t i = 0; i < work.size(); ++i) {

@@ -112,29 +112,6 @@ class ExperimentRunner
      */
     static unsigned defaultThreads();
 
-    /**
-     * How one thread budget is shared between the two parallelism
-     * layers (see README "Thread-budget sharing"). Their product never
-     * exceeds the budget, so a sweep cannot oversubscribe the host by
-     * running @p threads points that each spawn kernel shards.
-     */
-    struct ThreadSplit
-    {
-        unsigned sweepWorkers; ///< Concurrent simulation points.
-        unsigned shardThreads; ///< SimConfig::kernelThreads per point.
-    };
-
-    /**
-     * Split @p threads between the sweep pool and the per-point
-     * epoch-sharded kernel for a batch of @p jobs uncached points.
-     * Sweep-level parallelism wins when it alone can fill the budget
-     * (jobs >= threads: independent points scale embarrassingly);
-     * with fewer jobs than threads, each point gets the leftover
-     * budget as intra-simulation shards — a lone big point on an
-     * otherwise idle host runs threads-wide instead of serially.
-     */
-    static ThreadSplit planThreadSplit(std::size_t jobs, unsigned threads);
-
     /** Stable fingerprint of a (workload, config) point. */
     static std::string configKey(WorkloadId workload, const SimConfig &cfg);
 
@@ -178,13 +155,9 @@ class ExperimentRunner
      */
     void appendToCache(const std::string &key, const MetricSet &m);
     static std::uint64_t fastDivisor();
-    /** @p kernelThreads nonzero overrides cfg.kernelThreads (the
-     *  sweep's share of the thread budget, see planThreadSplit). */
     static MetricSet simulate(WorkloadId workload, const SimConfig &cfg,
-                              std::uint32_t presetCores = 0,
-                              std::uint32_t kernelThreads = 0);
-    static MetricSet simulatePoint(const Point &p,
-                                   std::uint32_t kernelThreads = 0);
+                              std::uint32_t presetCores = 0);
+    static MetricSet simulatePoint(const Point &p);
 
     std::string cachePath_;
     bool cachingEnabled_ = true;

@@ -297,12 +297,6 @@ ExperimentOptions::parse(int argc, char **argv)
             if (!v || !parseUint(v, n) || n == 0)
                 return "--measure needs a nonzero cycle count";
             config.measureCoreCycles = n;
-        } else if (arg == "--kernel-threads") {
-            const char *v = need(i);
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n) || n == 0 || n > 1024)
-                return "--kernel-threads needs a count in [1, 1024]";
-            config.kernelThreads = static_cast<std::uint32_t>(n);
         } else if (arg == "--seed") {
             const char *v = need(i);
             std::uint64_t n = 0;
@@ -400,7 +394,7 @@ ExperimentOptions::usage(const std::string &tool)
            "[--tier-capacity-pct PCT]\n"
         << "       [--channels N] [--warmup C] [--measure C] [--seed N] "
            "[--fast D]\n"
-        << "       [--kernel-threads N] [--csv] [--fairness] [--list]\n\n";
+        << "       [--csv] [--fairness] [--list]\n\n";
     out << listText();
     return out.str();
 }

@@ -71,14 +71,9 @@ struct SimConfig
     std::uint32_t xbarLatencyCycles = 4;
 
     /**
-     * Thread budget for one simulation: 1 runs the serial event
-     * kernel; >1 enables the epoch-sharded parallel kernel, which
-     * splits the core cluster and the per-channel memory controllers
-     * across min(kernelThreads-1, channels)+1 worker threads. Results
-     * are bit-identical at any value (the epoch/barrier contract in
-     * the README), so this knob is deliberately NOT part of the
-     * results-cache key or the params hash. ExperimentRunner::runAll
-     * overrides it per point from the sweep's shared thread budget.
+     * Retired: must be 1; kept until the benchmark stops setting it.
+     * A simulation always runs on one thread (System rejects any other
+     * value), so the field is not part of the results-cache key.
      */
     std::uint32_t kernelThreads = 1;
 

@@ -293,13 +293,6 @@ parseExperimentSpec(const std::string &text, ExperimentSpec &out)
                 return err("measure needs a nonzero cycle count, got '" +
                            value + "'");
             out.base.measureCoreCycles = v;
-        } else if (key == "kernel_threads") {
-            std::uint64_t v = 0;
-            if (!parseUint(value, v) || v == 0 || v > 1024)
-                return err("kernel_threads needs an integer in [1, 1024], "
-                           "got '" +
-                           value + "'");
-            out.base.kernelThreads = static_cast<std::uint32_t>(v);
         } else if (key == "seed") {
             std::uint64_t v = 0;
             if (!parseUint(value, v))

@@ -70,22 +70,22 @@ System::~System() = default;
 void
 System::build(const SimConfig &cfg, std::uint32_t numCores)
 {
+    if (cfg.kernelThreads != 1) {
+        mc_fatal("SimConfig::kernelThreads is retired and must be 1 (got ",
+                 cfg.kernelThreads, ")");
+    }
     backend_ = makeMemBackend(cfg, numCores);
     for (std::uint32_t ch = 0; ch < backend_->numQueues(); ++ch) {
         MemController &mc = backend_->queue(ch);
-        mc.setCompletionCallback([this, ch](Request *req, Tick at) {
-            onMemComplete(req, at, ch);
-        });
+        mc.setCompletionCallback(
+            [this](Request *req, Tick at) { onMemComplete(req, at); });
         controllers_.push_back(&mc);
     }
-    complStage_.resize(controllers_.size());
-    chArrivals_.resize(controllers_.size());
-    mergeIdx_.resize(controllers_.size());
     hierarchy_ = std::make_unique<CacheHierarchy>(numCores, cfg.hierarchy);
     hierarchy_->setSendMemRead(
-        [this](CoreId core, Addr addr) { sendMemRead(core, addr); });
+        [this](CoreId core, Addr addr) { sendMem(core, addr, false); });
     hierarchy_->setSendMemWrite(
-        [this](CoreId core, Addr addr) { sendMemWrite(core, addr); });
+        [this](CoreId core, Addr addr) { sendMem(core, addr, true); });
     hierarchy_->setWake([this](CoreId core, MissKind kind) {
         // Account the blocked stretch under the pre-wake flags before
         // the unblock mutates them.
@@ -115,10 +115,9 @@ System::allocRequest(CoreId core, Addr addr, bool isWrite, bool isIo)
     req->isWrite = isWrite;
     req->isIo = isIo;
     // Backend routing (and any remap-policy state it evolves) happens
-    // here, on the allocation path: every kernel — reference, event,
-    // and the parallel kernel's core shard — allocates requests in the
-    // same order at the same ticks, so backend policy decisions are
-    // identical under all of them.
+    // here, on the allocation path: the reference and event kernels
+    // allocate requests in the same order at the same ticks, so
+    // backend policy decisions are identical under both.
     backend_->route(*req, now_);
     return req;
 }
@@ -130,43 +129,15 @@ System::freeRequest(Request *req)
 }
 
 void
-System::sendMemRead(CoreId core, Addr blockAddr)
+System::sendMem(CoreId core, Addr blockAddr, bool isWrite)
 {
-    Request *req = allocRequest(core, blockAddr, false, false);
-    if (parallelMode_) {
-        reqStage_.push(coreParity_,
-                       {now_ + toMem_.latency(), req, reqSeq_++});
-        return;
-    }
-    toMem_.push(now_, req);
+    toMem_.push(now_, allocRequest(core, blockAddr, isWrite, false));
     memHorizonDirty_ = true;
 }
 
 void
-System::sendMemWrite(CoreId core, Addr blockAddr)
+System::onMemComplete(Request *req, Tick at)
 {
-    Request *req = allocRequest(core, blockAddr, true, false);
-    if (parallelMode_) {
-        reqStage_.push(coreParity_,
-                       {now_ + toMem_.latency(), req, reqSeq_++});
-        return;
-    }
-    toMem_.push(now_, req);
-    memHorizonDirty_ = true;
-}
-
-void
-System::onMemComplete(Request *req, Tick at, std::uint32_t channel)
-{
-    if (parallelMode_) {
-        // Shard thread: park the completion; the core shard replays
-        // it (toCpu_ latch + request recycling) in merge order at the
-        // next epoch boundary. IO never runs here (parallelShards()
-        // returns 0 for IO-enabled systems).
-        ChannelStage &cs = complStage_[channel];
-        cs.stage.push(cs.parity, {at, req});
-        return;
-    }
     if (req->isIo && !req->isWrite) {
         // IO reads are closed-loop; IO writes are posted (the device
         // got its ack at issue time and never held a window slot).
@@ -389,10 +360,6 @@ System::advance(std::uint64_t coreCycles)
         syncCores();
         return;
     }
-    if (now_ < end && parallelShards() > 0) {
-        advanceParallel(end);
-        return;
-    }
     advanceEvent(end);
 }
 
@@ -412,10 +379,10 @@ System::advanceEvent(Tick end)
     // inputs move: the core horizon on a core step or a memory step
     // (which may latch a response toward the cores), the memory
     // horizon on a memory step or a crossbar push from the core side
-    // (memHorizonDirty_, set by sendMemRead/Write). Idle boundary
-    // elapses never invalidate either (a cached horizon past the
-    // elapsed boundary stays on its grid ahead of the new pending
-    // boundary), so most iterations skip the recompute entirely.
+    // (memHorizonDirty_, set by sendMem). Idle boundary elapses never
+    // invalidate either (a cached horizon past the elapsed boundary
+    // stays on its grid ahead of the new pending boundary), so most
+    // iterations skip the recompute entirely.
     Tick tCore{};
     Tick tMem{};
     bool coreDirty = true;
@@ -495,252 +462,6 @@ System::advanceEvent(Tick end)
             nextMem += perDram;
         }
     }
-    syncCores();
-}
-
-unsigned
-System::parallelShards() const
-{
-    // The IO/DMA engine couples request-id allocation and completion
-    // handling to the memory side with zero modeled latency, which
-    // would drag the lookahead to zero; IO-enabled systems stay on the
-    // serial kernel. A zero crossbar latency likewise leaves no
-    // lookahead to shard over.
-    if (cfg_.kernelThreads <= 1 || io_.enabled || controllers_.empty() ||
-        toMem_.latency() == TickSpan{0} ||
-        toCpu_.latency() == TickSpan{0}) {
-        return 0;
-    }
-    return static_cast<unsigned>(
-        std::min<std::size_t>(cfg_.kernelThreads - 1, controllers_.size()));
-}
-
-void
-System::mergeStagedCompletions(unsigned parity)
-{
-    const std::size_t n = complStage_.size();
-    bool any = false;
-    for (std::size_t ch = 0; ch < n; ++ch) {
-        mergeIdx_[ch] = 0;
-        if (!complStage_[ch].stage.readBuf(parity).empty())
-            any = true;
-    }
-    if (!any)
-        return;
-    // K-way merge in ascending (tick, channel) with within-channel
-    // staging order preserved — exactly the serial kernel's completion
-    // order, where memStep ticks controllers in channel-index order
-    // and each controller completes in its own deterministic order.
-    while (true) {
-        std::size_t best = n;
-        Tick bestAt = kMaxTick;
-        for (std::size_t ch = 0; ch < n; ++ch) {
-            const auto &buf = complStage_[ch].stage.readBuf(parity);
-            if (mergeIdx_[ch] >= buf.size())
-                continue;
-            const Tick at = buf[mergeIdx_[ch]].at;
-            if (best == n || at < bestAt) {
-                best = ch;
-                bestAt = at;
-            }
-        }
-        if (best == n)
-            break;
-        const StagedCompletion &sc =
-            complStage_[best].stage.readBuf(parity)[mergeIdx_[best]++];
-        Request *req = sc.req;
-        if (!req->isIo && !req->isWrite)
-            toCpu_.push(sc.at, {req->core, req->addr});
-        freeRequest(req);
-    }
-}
-
-void
-System::advanceParallel(Tick end)
-{
-    const unsigned memShards = parallelShards();
-    const TickSpan perCore = cfg_.clocks.ticksPerCore;
-    const TickSpan perDram = cfg_.clocks.ticksPerDram;
-
-    // Lookahead: every cross-shard path pays at least the shorter
-    // crossbar latency, so traffic staged during an epoch is never
-    // deliverable before the next one starts.
-    const TickSpan epochLen = std::min(toMem_.latency(), toCpu_.latency());
-    const Tick start = now_;
-    const std::uint64_t nEpochs =
-        (end - start + epochLen - TickSpan{1}) / epochLen;
-
-    if (!pool_)
-        pool_ = std::make_unique<WorkerPool>(memShards);
-
-    // Window-global batch cap, same formula as advanceEvent() so the
-    // cores' batching decisions (and thus their lazy accounting and
-    // stats) are identical to the serial kernel's.
-    const Tick firstCore = alignUp(start, perCore);
-    batchLimit_ =
-        end > firstCore
-            ? coreCycles_ +
-                  CoreCycles{(end - firstCore - TickSpan{1}) / perCore + 1}
-            : coreCycles_;
-
-    // Prologue: hand toMem_'s backlog to the shards as pre-staged
-    // arrivals, tagged with their FIFO position so the epilogue can
-    // hand unconsumed entries back in the original push order. Epoch
-    // 0's consumers read parity 1.
-    reqSeq_ = 0;
-    reqStage_.reset();
-    while (toMem_.size() > 0) {
-        auto [readyAt, req] = toMem_.takeFront();
-        reqStage_.push(1, {readyAt, req, reqSeq_++});
-    }
-
-    std::vector<KernelStats> shardStats(memShards);
-    SpinBarrier barrier(memShards + 1);
-    parallelMode_ = true;
-
-    pool_->run(memShards + 1, [&](unsigned shard) {
-        if (shard == 0) {
-            // ---- Core shard (calling thread): cores, caches, toCpu_
-            // consumption, request allocation, the system clock and
-            // the core-cycle counter — a core-domain-only copy of
-            // advanceEvent()'s walk.
-            Tick nextCore = alignUp(start, perCore);
-            Tick tCore{};
-            for (std::uint64_t e = 0; e < nEpochs; ++e) {
-                const Tick e1 = std::min(start + (e + 1) * epochLen, end);
-                coreParity_ = static_cast<unsigned>(e & 1);
-                reqStage_.beginEpoch(coreParity_);
-                // Completions the mem shards staged last epoch become
-                // deliverable no earlier than this epoch; replaying
-                // them before any boundary keeps toCpu_ in order.
-                mergeStagedCompletions(coreParity_ ^ 1u);
-                bool coreDirty = true;
-                while (true) {
-                    if (coreDirty) {
-                        tCore =
-                            alignUpFrom(nextCore, coreEventAt(), perCore);
-                        coreDirty = false;
-                    }
-                    const Tick t = std::min(tCore, e1);
-                    if (nextCore < t) {
-                        std::uint64_t skipped;
-                        if (t - nextCore <= std::uint64_t{8} * perCore) {
-                            skipped = 0;
-                            while (nextCore < t) {
-                                nextCore += perCore;
-                                ++skipped;
-                            }
-                        } else {
-                            skipped =
-                                (t - nextCore - TickSpan{1}) / perCore + 1;
-                            nextCore += skipped * perCore;
-                        }
-                        coreCycles_ += CoreCycles{skipped};
-                    }
-                    now_ = t;
-                    if (t == e1)
-                        break;
-                    coreStepEvent();
-                    coreDirty = true;
-                    nextCore += perCore;
-                }
-                barrier.arriveAndWait();
-            }
-        } else {
-            // ---- Memory shard: the controllers of channels ch with
-            // ch % memShards == shard-1, on a private copy of the
-            // serial kernel's DRAM-boundary walk. Never reads now_.
-            const unsigned s = shard - 1;
-            KernelStats &ks = shardStats[s];
-            Tick nextMem = alignUp(start, perDram);
-            for (std::uint64_t e = 0; e < nEpochs; ++e) {
-                const Tick e1 = std::min(start + (e + 1) * epochLen, end);
-                const unsigned parity = static_cast<unsigned>(e & 1);
-                for (std::size_t ch = s; ch < controllers_.size();
-                     ch += memShards) {
-                    complStage_[ch].stage.beginEpoch(parity);
-                    complStage_[ch].parity =
-                        static_cast<std::uint8_t>(parity);
-                }
-                // Absorb the requests the core shard staged last
-                // epoch; per-channel order is global push order.
-                for (const StagedRequest &sr :
-                     reqStage_.readBuf(parity ^ 1u)) {
-                    const auto ch = sr.req->coord.channel;
-                    if (ch % memShards == s)
-                        chArrivals_[ch].push_back(sr);
-                }
-                while (true) {
-                    Tick ev = kMaxTick;
-                    for (std::size_t ch = s; ch < controllers_.size();
-                         ch += memShards) {
-                        if (!chArrivals_[ch].empty() &&
-                            chArrivals_[ch].front().readyAt < ev) {
-                            ev = chArrivals_[ch].front().readyAt;
-                        }
-                        if (ctlDueAt_[ch] < ev)
-                            ev = ctlDueAt_[ch];
-                    }
-                    const Tick t = alignUpFrom(nextMem, ev, perDram);
-                    if (t >= e1)
-                        break;
-                    for (std::size_t ch = s; ch < controllers_.size();
-                         ch += memShards) {
-                        auto &dq = chArrivals_[ch];
-                        while (!dq.empty() && dq.front().readyAt <= t) {
-                            controllers_[ch]->enqueue(dq.front().req, t);
-                            dq.pop_front();
-                            ctlDueAt_[ch] = t;
-                        }
-                        if (ctlDueAt_[ch] <= t) {
-                            ctlDueAt_[ch] = controllers_[ch]->tick(t);
-                            ++ks.ctlTicksRun;
-                        }
-                    }
-                    ++ks.memStepsRun;
-                    nextMem = t + perDram;
-                }
-                barrier.arriveAndWait();
-            }
-        }
-    });
-
-    // ---- Epilogue (single-threaded again): restore the serial
-    // kernel's invariants so serial and parallel windows interleave
-    // freely on one System.
-    parallelMode_ = false;
-    for (const KernelStats &ks : shardStats) {
-        kernelStats_.memStepsRun += ks.memStepsRun;
-        kernelStats_.ctlTicksRun += ks.ctlTicksRun;
-    }
-    const unsigned lastParity = static_cast<unsigned>((nEpochs - 1) & 1);
-    // In-flight requests nobody consumed — arrivals still waiting for
-    // their first DRAM boundary plus the final epoch's unread staging
-    // — go back into toMem_ in push order (seq ascending implies
-    // readyAt nondecreasing, preserving the link's FIFO contract).
-    std::vector<StagedRequest> leftovers;
-    for (auto &dq : chArrivals_) {
-        leftovers.insert(leftovers.end(), dq.begin(), dq.end());
-        dq.clear();
-    }
-    for (const StagedRequest &sr : reqStage_.readBuf(lastParity))
-        leftovers.push_back(sr);
-    std::sort(leftovers.begin(), leftovers.end(),
-              [](const StagedRequest &a, const StagedRequest &b) {
-                  return a.seq < b.seq;
-              });
-    for (const StagedRequest &sr : leftovers)
-        toMem_.pushAt(sr.readyAt, sr.req);
-    reqStage_.reset();
-    // The final epoch's completions were never replayed; their
-    // delivery ticks land at or after end, matching what the serial
-    // kernel would have left latched in toCpu_.
-    mergeStagedCompletions(lastParity);
-    for (auto &cs : complStage_) {
-        cs.stage.reset();
-        cs.parity = 0;
-    }
-    memHorizonDirty_ = true;
     syncCores();
 }
 

@@ -19,27 +19,17 @@
  * are bit-identical to the per-tick reference loop, which is kept
  * behind useReferenceKernel(true) as the golden model for tests.
  *
- * With SimConfig::kernelThreads > 1 the event kernel itself runs
- * epoch-sharded across worker threads: the core cluster (cores +
- * shared cache hierarchy + batch execution) forms one shard on the
- * calling thread, the per-channel memory controllers are distributed
- * over pool workers, and all shards advance in lockstep epochs no
- * longer than the minimum crossbar latency. Cross-shard traffic is
- * exchanged at the epoch barrier through double-buffered staged
- * queues and replayed in the serial kernel's exact order, so metrics,
- * DRAM command traces and fairness scalars are bit-identical to the
- * serial event kernel at any thread count.
+ * A System runs on one thread; sweeps get their parallelism from
+ * running independent Systems concurrently (ExperimentRunner::runAll).
  */
 
 #ifndef CLOUDMC_SIM_SYSTEM_HH
 #define CLOUDMC_SIM_SYSTEM_HH
 
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "common/random.hh"
-#include "common/worker_pool.hh"
 #include "cpu/core.hh"
 #include "cpu/crossbar.hh"
 #include "cpu/hierarchy.hh"
@@ -147,31 +137,8 @@ class System
     void memStep(bool eager);
     void ioStep();
     void referenceAdvance(Tick end);
-    /** The serial event-scheduled kernel (the golden perf baseline the
-     *  parallel kernel must be bit-identical to). */
+    /** The event-scheduled kernel (bit-identical to referenceAdvance). */
     void advanceEvent(Tick end);
-    /**
-     * The epoch-sharded parallel kernel: core cluster on the calling
-     * thread, per-channel controllers on pool workers, lockstep epochs
-     * bounded by the crossbar latency. Bit-identical to advanceEvent()
-     * at any thread count (see README "Deterministic intra-simulation
-     * parallelism").
-     */
-    void advanceParallel(Tick end);
-    /**
-     * Memory-side shard count the parallel kernel would use: 0 means
-     * the serial kernel runs (thread budget of 1, an enabled IO/DMA
-     * engine — whose zero-latency completion coupling and request-id
-     * interleaving would serialize every epoch anyway — or no
-     * controllers).
-     */
-    unsigned parallelShards() const;
-    /**
-     * Replay the previous epoch's staged completions into toCpu_ in
-     * the serial kernel's exact order — ascending (tick, channel,
-     * within-channel sequence) — and recycle every finished request.
-     */
-    void mergeStagedCompletions(unsigned parity);
     /** Flush every core's lazy cycle accounting up to coreCycles_. */
     void syncCores();
     /** Earliest tick the core domain must step (latch or core event). */
@@ -182,9 +149,8 @@ class System
     Tick ioEventAt() const;
     Request *allocRequest(CoreId core, Addr addr, bool isWrite, bool isIo);
     void freeRequest(Request *req);
-    void sendMemRead(CoreId core, Addr blockAddr);
-    void sendMemWrite(CoreId core, Addr blockAddr);
-    void onMemComplete(Request *req, Tick at, std::uint32_t channel);
+    void sendMem(CoreId core, Addr blockAddr, bool isWrite);
+    void onMemComplete(Request *req, Tick at);
 
     SimConfig cfg_;
     Tick now_;
@@ -226,7 +192,7 @@ class System
      *  media statistics and energy all go through it. */
     std::unique_ptr<MemBackend> backend_;
     /** Raw per-queue pointers into backend_ (queue index == the
-     *  coord.channel routing/sharding index), cached so the kernels'
+     *  coord.channel routing index), cached so the kernels'
      *  hot loops stay exactly as they were pre-backend. */
     std::vector<MemController *> controllers_;
 
@@ -244,52 +210,6 @@ class System
     std::vector<std::unique_ptr<Request>> requestStorage_;
     std::vector<Request *> freeRequests_;
     std::uint64_t nextRequestId_ = 0;
-
-    // ---- epoch-sharded parallel kernel state (advanceParallel) ----
-
-    /** One core→controller request in flight across the barrier. */
-    struct StagedRequest
-    {
-        Tick readyAt;      ///< Crossbar delivery tick (push + latency).
-        Request *req;
-        std::uint64_t seq; ///< Global toMem_ push order (for handoff).
-    };
-    /** One finished request crossing back to the core shard. */
-    struct StagedCompletion
-    {
-        Tick at; ///< Controller completion tick.
-        Request *req;
-    };
-    /** Per-channel staging of one channel's completions. */
-    struct ChannelStage
-    {
-        EpochStage<StagedCompletion> stage;
-        /** Owning shard's current write parity, read by the
-         *  completion callback (only the owner thread touches it). */
-        std::uint8_t parity = 0;
-    };
-
-    /** True while shard workers are live: sendMemRead/Write stage
-     *  instead of pushing toMem_, completions stage instead of
-     *  latching toCpu_. Written single-threaded around the epoch loop. */
-    bool parallelMode_ = false;
-    /** Core shard's current write parity for reqStage_. */
-    unsigned coreParity_ = 0;
-    /** Next global toMem_ push sequence number (core shard only). */
-    std::uint64_t reqSeq_ = 0;
-    /** Core→mem staging, all channels interleaved in push order; each
-     *  mem shard filters out its own channels' entries. */
-    EpochStage<StagedRequest> reqStage_;
-    /** Mem→core completion staging, one per channel. */
-    std::vector<ChannelStage> complStage_;
-    /** Per-channel in-order arrival queues owned by the mem shards;
-     *  persistent across epochs (an entry waits here until the first
-     *  DRAM boundary at or after its crossbar delivery tick). */
-    std::vector<std::deque<StagedRequest>> chArrivals_;
-    /** k-way merge cursor scratch for mergeStagedCompletions(). */
-    std::vector<std::size_t> mergeIdx_;
-    /** Shard workers (created on first parallel advance). */
-    std::unique_ptr<WorkerPool> pool_;
 };
 
 } // namespace mcsim

@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
+#include "common/worker_pool.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
 #include "workload/synthetic.hh"
@@ -250,25 +253,51 @@ tinySweep()
 
 TEST(ExperimentParallel, RunAllMatchesSerialLoop)
 {
-    const auto points = tinySweep();
+    const auto sweep = tinySweep();
+    // The whole sweep, and a lone point (fewer jobs than threads).
+    for (const auto &points :
+         {sweep, std::vector<ExperimentRunner::Point>{sweep.front()}}) {
+        SCOPED_TRACE(points.size());
+        // Serial reference: independent runner, caching disabled so
+        // every point actually simulates.
+        ExperimentRunner serial("-");
+        std::vector<MetricSet> expected;
+        for (const auto &p : points)
+            expected.push_back(serial.run(p.workload, p.cfg));
 
-    // Serial reference: independent runner, caching disabled so every
-    // point actually simulates.
-    ExperimentRunner serial("-");
-    std::vector<MetricSet> expected;
-    for (const auto &p : points)
-        expected.push_back(serial.run(p.workload, p.cfg));
+        ExperimentRunner parallel("-");
+        const auto got = parallel.runAll(points, 4);
 
-    ExperimentRunner parallel("-");
-    const auto got = parallel.runAll(points, 4);
-
-    ASSERT_EQ(got.size(), expected.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        SCOPED_TRACE(i);
-        expectIdentical(got[i], expected[i]);
+        ASSERT_EQ(got.size(), expected.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            SCOPED_TRACE(i);
+            expectIdentical(got[i], expected[i]);
+        }
+        EXPECT_EQ(parallel.simulationsRun(), points.size());
+        EXPECT_EQ(parallel.cacheHits(), 0u);
     }
-    EXPECT_EQ(parallel.simulationsRun(), points.size());
-    EXPECT_EQ(parallel.cacheHits(), 0u);
+}
+
+TEST(WorkerPool, RunsEveryPartyExactlyOnceWithCallerAsZero)
+{
+    WorkerPool pool(3);
+    EXPECT_EQ(pool.workers(), 3u);
+    for (int round = 0; round < 50; ++round) {
+        std::vector<std::atomic<int>> hits(4);
+        for (auto &h : hits)
+            h.store(0);
+        pool.run(4, [&](unsigned party) {
+            hits[party].fetch_add(1, std::memory_order_relaxed);
+        });
+        for (unsigned s = 0; s < 4; ++s)
+            EXPECT_EQ(hits[s].load(), 1) << "party " << s;
+    }
+    // Fewer parties than workers: the extras must stay asleep.
+    std::atomic<int> count{0};
+    pool.run(2, [&](unsigned) { count.fetch_add(1); });
+    EXPECT_EQ(count.load(), 2);
+    pool.run(1, [&](unsigned) { count.fetch_add(1); });
+    EXPECT_EQ(count.load(), 3);
 }
 
 TEST(ExperimentParallel, CountersConsistentUnderConcurrency)
@@ -392,10 +421,14 @@ TEST(ExperimentCache, KeyFingerprintsFullParameterSet)
     xbar.xbarLatencyCycles = 8;
     SimConfig ranks = base;
     ranks.dram.ranksPerChannel = 1;
+    SimConfig tunedTrcd = base;
+    tunedTrcd.timings.tRCD += 3;
+    SimConfig tunedIdd0 = base;
+    tunedIdd0.power.idd0 *= 2;
 
     for (const SimConfig *cfg :
          {&stfmAlpha, &tcmCluster, &tcmQuantum, &rlEpsilon, &parbsCap,
-          &drain, &refreshOff, &xbar, &ranks}) {
+          &drain, &refreshOff, &xbar, &ranks, &tunedTrcd, &tunedIdd0}) {
         EXPECT_NE(kb, ExperimentRunner::configKey(WorkloadId::DS, *cfg));
     }
     // And the fingerprint is stable: same parameters, same key.

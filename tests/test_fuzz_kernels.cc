@@ -12,11 +12,6 @@
  * routing, TSV timing and the migration cost model are always in the
  * differential sample.
  *
- * Each configuration additionally runs the epoch-sharded parallel
- * kernel at thread budgets {2, 4, 7}; metrics and command traces must
- * equal the serial event kernel (and hence the reference) at every
- * thread count — the epoch/barrier contract in the README.
- *
  * A failing configuration is printed as a reproducible spec string:
  * paste it into a file and run `example_run_experiment --config` (or
  * re-run this suite with CLOUDMC_FUZZ_SEED) to replay the exact point.
@@ -92,8 +87,7 @@ struct FuzzConfig
                 << '\n';
         }
         out << "warmup = " << cfg.warmupCoreCycles << '\n'
-            << "measure = " << cfg.measureCoreCycles << '\n'
-            << "kernel_threads = " << cfg.kernelThreads << '\n';
+            << "measure = " << cfg.measureCoreCycles << '\n';
         return out.str();
     }
 };
@@ -184,16 +178,11 @@ struct RunResult
 };
 
 RunResult
-runKernel(const FuzzConfig &f, bool reference,
-          std::uint32_t kernelThreads = 1)
+runKernel(const FuzzConfig &f, bool reference)
 {
-    SimConfig cfg = f.cfg;
-    cfg.kernelThreads = kernelThreads;
-    System sys(cfg, workloadPreset(f.workload));
+    System sys(f.cfg, workloadPreset(f.workload));
     sys.useReferenceKernel(reference);
     RunResult r;
-    // Capture per channel: command hooks fire on the owning shard's
-    // thread under the parallel kernel, so a shared vector would race.
     std::vector<std::vector<TraceEntry>> perCh(sys.numControllers());
     for (std::uint32_t ch = 0; ch < sys.numControllers(); ++ch) {
         sys.controller(ch).channel().setCommandHook(
@@ -299,20 +288,6 @@ TEST_P(KernelFuzz, EventAndReferenceKernelsAgreeOnRandomConfig)
     // sequence.
     expectTracesIdentical(ev, ref, "event kernel", "reference");
     EXPECT_FALSE(ev.trace.empty()) << "run issued no DRAM commands";
-
-    // The epoch-sharded parallel kernel must reproduce the serial
-    // event kernel bit for bit at every thread budget (IO-enabled
-    // workloads exercise the documented serial fallback).
-    for (const std::uint32_t threads : {2u, 4u, 7u}) {
-        FuzzConfig fp = f;
-        fp.cfg.kernelThreads = threads;
-        SCOPED_TRACE("with kernel_threads = " + std::to_string(threads) +
-                     "; reproduce with --config spec:\n" + fp.specString());
-        const RunResult par = runKernel(f, /*reference=*/false, threads);
-        expectMetricsIdentical(par.metrics, ev.metrics);
-        EXPECT_EQ(par.endTick, ev.endTick);
-        expectTracesIdentical(par, ev, "parallel kernel", "serial event");
-    }
 }
 
 INSTANTIATE_TEST_SUITE_P(SixtyFourSeededConfigs, KernelFuzz,

@@ -107,7 +107,7 @@ TEST(Options, EveryNameTableRoundtrips)
 
 TEST(Options, RejectsBadValues)
 {
-    const std::array<std::vector<std::string>, 7> bad = {{
+    const std::array<std::vector<std::string>, 8> bad = {{
         {"--workload", "NOPE"},
         {"--scheduler", "LRU"},
         {"--policy", "YOLO"},
@@ -115,6 +115,7 @@ TEST(Options, RejectsBadValues)
         {"--channels", "3"},
         {"--measure", "0"},
         {"--flag-that-does-not-exist"},
+        {"--kernel-threads", "4"}, // Retired: simulations are serial.
     }};
     for (const auto &args : bad) {
         ExperimentOptions opts;

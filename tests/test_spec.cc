@@ -99,12 +99,15 @@ TEST(Spec, SingleValuedAxesShapeTheBaseConfig)
 
 TEST(Spec, UnknownKeyIsALineNumberedError)
 {
-    ExperimentSpec spec;
-    const std::string err =
-        parseExperimentSpec("seed = 1\nfrobnicate = 9\n", spec);
-    EXPECT_NE(err.find("line 2"), std::string::npos) << err;
-    EXPECT_NE(err.find("unknown key 'frobnicate'"), std::string::npos)
-        << err;
+    // kernel_threads is retired: simulations always run serially.
+    for (const std::string key : {"frobnicate", "kernel_threads"}) {
+        ExperimentSpec spec;
+        const std::string err =
+            parseExperimentSpec("seed = 1\n" + key + " = 4\n", spec);
+        EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+        EXPECT_NE(err.find("unknown key '" + key + "'"), std::string::npos)
+            << err;
+    }
 }
 
 TEST(Spec, BadValuesAreLineNumberedErrors)

@@ -162,6 +162,15 @@ TEST(System, ResetStatsStartsFreshWindow)
     EXPECT_GT(m.committedInstructions, 0u);
 }
 
+TEST(SystemDeathTest, RejectsRetiredKernelThreads)
+{
+    SimConfig cfg = quickConfig();
+    cfg.kernelThreads = 4;
+    EXPECT_EXIT(System(cfg, workloadPreset(WorkloadId::WS)),
+                ::testing::ExitedWithCode(1),
+                "SimConfig::kernelThreads is retired and must be 1");
+}
+
 TEST(ExperimentRunner, CacheRoundtrip)
 {
     const std::string path =

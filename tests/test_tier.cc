@@ -4,8 +4,7 @@
  * split/merge/aging, the zero-region degenerate span, tier routing
  * under all three policies, the migration cost model, determinism,
  * collect() idempotence, the empty-set metric edges, and tiered runs
- * agreeing bit-for-bit across the reference, event, and parallel
- * kernels.
+ * agreeing bit-for-bit across the reference and event kernels.
  */
 
 #include <gtest/gtest.h>
@@ -287,34 +286,29 @@ TEST(TieredBackend, RunAgreesAcrossAllKernels)
 {
     // End-to-end: a tiered system (hotness policy, small windows so
     // migrations actually fire) produces bit-identical metrics under
-    // the reference loop, the event kernel, and the parallel kernel.
+    // the reference loop and the event kernel.
     SimConfig cfg = tieredConfig(TierPolicy::HotnessBased);
     cfg.dram.channels = 2;
 
-    const auto runOnce = [&](bool reference, std::uint32_t threads) {
-        SimConfig c = cfg;
-        c.kernelThreads = threads;
-        System sys(c, workloadPreset(WorkloadId::WS));
+    const auto runOnce = [&](bool reference) {
+        System sys(cfg, workloadPreset(WorkloadId::WS));
         sys.useReferenceKernel(reference);
         return sys.run();
     };
-    const MetricSet ref = runOnce(true, 1);
-    const MetricSet ev = runOnce(false, 1);
-    const MetricSet par = runOnce(false, 4);
+    const MetricSet ref = runOnce(true);
+    const MetricSet ev = runOnce(false);
 
-    for (const MetricSet *m : {&ev, &par}) {
-        EXPECT_EQ(m->committedInstructions, ref.committedInstructions);
-        EXPECT_EQ(m->memReads, ref.memReads);
-        EXPECT_EQ(m->memWrites, ref.memWrites);
-        EXPECT_EQ(m->userIpc, ref.userIpc);
-        EXPECT_EQ(m->avgReadLatency, ref.avgReadLatency);
-        EXPECT_EQ(m->bwUtilPct, ref.bwUtilPct);
-        EXPECT_EQ(m->dramEnergyNj, ref.dramEnergyNj);
-        EXPECT_EQ(m->fastTierHitPct, ref.fastTierHitPct);
-        EXPECT_EQ(m->slowTierReadLatencyP99, ref.slowTierReadLatencyP99);
-        EXPECT_EQ(m->tierMigrations, ref.tierMigrations);
-        EXPECT_EQ(m->tierMigratedRows, ref.tierMigratedRows);
-    }
+    EXPECT_EQ(ev.committedInstructions, ref.committedInstructions);
+    EXPECT_EQ(ev.memReads, ref.memReads);
+    EXPECT_EQ(ev.memWrites, ref.memWrites);
+    EXPECT_EQ(ev.userIpc, ref.userIpc);
+    EXPECT_EQ(ev.avgReadLatency, ref.avgReadLatency);
+    EXPECT_EQ(ev.bwUtilPct, ref.bwUtilPct);
+    EXPECT_EQ(ev.dramEnergyNj, ref.dramEnergyNj);
+    EXPECT_EQ(ev.fastTierHitPct, ref.fastTierHitPct);
+    EXPECT_EQ(ev.slowTierReadLatencyP99, ref.slowTierReadLatencyP99);
+    EXPECT_EQ(ev.tierMigrations, ref.tierMigrations);
+    EXPECT_EQ(ev.tierMigratedRows, ref.tierMigratedRows);
     EXPECT_GT(ref.memReads, 0u);
     EXPECT_GT(ref.fastTierHitPct, 0.0);
 }

@@ -26,8 +26,8 @@
  *    Pcg32 so runs replay exactly.
  *
  *  - raw-thread: std::thread construction/storage outside
- *    common/worker_pool.*. All parallelism — the sweep pool and the
- *    epoch-sharded kernel alike — draws from one budgeted WorkerPool;
+ *    common/worker_pool.*. All parallelism — running independent
+ *    sweep points concurrently — draws from one budgeted WorkerPool;
  *    ad-hoc threads bypass the budget and the determinism argument.
  *    std::thread::hardware_concurrency() (a pure host query) stays
  *    legal. Suppressions need a detlint-allow(raw-thread) reason.
@@ -241,7 +241,7 @@ class Linter
                       code,
                       "raw std::thread outside the shared worker pool; "
                       "route parallelism through WorkerPool so the "
-                      "sweep/shard thread budget stays enforceable");
+                      "sweep thread budget stays enforceable");
         }
         // Ignore #include lines for unordered-iter: pulling the header
         // in is fine, declaring the container is what needs the proof.
