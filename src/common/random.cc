@@ -1,8 +1,46 @@
 #include "random.hh"
 
 #include <algorithm>
+#include <cstring>
+#include <map>
+#include <mutex>
+#include <utility>
 
 namespace mcsim {
+
+namespace {
+
+/**
+ * Sum of 1/i^theta over i in [1, count], in index order, memoized per
+ * process by (count, theta's bit pattern). Every System builds its own
+ * generators, and cold regions of any size share the one 2^20-term
+ * prefix for their theta, so a sweep sums each prefix once. The sum is
+ * a pure function of the key: a race computes it twice outside the
+ * lock, the first insert wins and both values are identical.
+ */
+double
+zetaPrefix(std::uint64_t count, double theta)
+{
+    using Key = std::pair<std::uint64_t, std::uint64_t>;
+    static std::mutex mu;
+    static std::map<Key, double> memo;
+
+    Key key{count, 0};
+    std::memcpy(&key.second, &theta, sizeof theta);
+    {
+        const std::lock_guard<std::mutex> lock(mu);
+        const auto it = memo.find(key);
+        if (it != memo.end())
+            return it->second;
+    }
+    double sum = 0.0;
+    for (std::uint64_t i = 1; i <= count; ++i)
+        sum += 1.0 / std::pow(static_cast<double>(i), theta);
+    const std::lock_guard<std::mutex> lock(mu);
+    return memo.emplace(key, sum).first->second;
+}
+
+} // namespace
 
 ZipfianGenerator::ZipfianGenerator(std::uint64_t n, double theta)
     : n_(n), theta_(theta)
@@ -28,10 +66,8 @@ ZipfianGenerator::zeta(std::uint64_t n, double theta)
     // Exact summation is O(n); cap the exact prefix and integrate the
     // tail, which is accurate to well under 0.1% for the sizes we use.
     constexpr std::uint64_t kExactPrefix = 1u << 20;
-    double sum = 0.0;
     const std::uint64_t exact = std::min(n, kExactPrefix);
-    for (std::uint64_t i = 1; i <= exact; ++i)
-        sum += 1.0 / std::pow(static_cast<double>(i), theta);
+    double sum = zetaPrefix(exact, theta);
     if (n > exact) {
         // Integral of x^-theta from exact to n.
         const double a = static_cast<double>(exact);

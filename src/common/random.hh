@@ -115,6 +115,9 @@ class Pcg32
 /**
  * Zipfian sampler over [0, n) with skew parameter theta, using the
  * Gray et al. computation popularized by YCSB. Item 0 is the hottest.
+ * The O(min(n, 2^20)) normalization prefix is memoized per process, so
+ * only the first generator per (prefix length, theta) pays for it;
+ * construction is thread-safe.
  */
 class ZipfianGenerator
 {
@@ -131,6 +134,8 @@ class ZipfianGenerator
 
     std::uint64_t numItems() const { return n_; }
     double theta() const { return theta_; }
+    /** Normalization constant zeta(n, theta); 0 when theta == 0. */
+    double zetan() const { return zetan_; }
 
   private:
     static double zeta(std::uint64_t n, double theta);

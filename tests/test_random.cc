@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
 #include <vector>
 
 #include "common/random.hh"
+#include "common/worker_pool.hh"
 
 using namespace mcsim;
 
@@ -141,3 +144,88 @@ TEST_P(ZipfSkew, HeadShareGrowsWithTheta)
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ZipfSkew,
                          ::testing::Values(0.3, 0.5, 0.7, 0.9, 0.99));
+
+/**
+ * Golden draws: FNV-1a over the bit pattern of zetan() and the first
+ * 10k sample() outputs of each (n, theta) below, recorded from the
+ * unmemoized sequential zeta summation. The draws alone would miss a
+ * last-ulp change in the normalization, so its bits are hashed too.
+ * The mix covers hot/code-sized regions (exact zeta), cold regions past
+ * the 2^20 exact prefix (prefix plus integrated tail), and three
+ * n > 2^20 sharing theta = 0.25, whose exact prefixes are the same sum.
+ * Any change to the summation order or to how the normalization is
+ * shared across generators moves a hash.
+ */
+namespace {
+
+struct ZipfGoldenCase
+{
+    std::uint64_t n;
+    double theta;
+    std::uint64_t hash;
+};
+
+constexpr std::array<ZipfGoldenCase, 6> kZipfGolden = {{
+    {16384, 0.93, 0xea0d00c8b9907765ull},
+    {32768, 0.85, 0x0d6e6ad463afb7e3ull},
+    {1ull << 24, 0.25, 0x687ae4e92c7b3430ull},
+    {1ull << 26, 0.1, 0x32d250bcac6c1b42ull},
+    {1ull << 23, 0.25, 0x56b55306aef92541ull},
+    {(1ull << 25) + 12345, 0.25, 0x9a4c1451579af164ull},
+}};
+
+std::uint64_t
+zipfDrawHash(std::uint64_t n, double theta)
+{
+    const ZipfianGenerator zipf(n, theta);
+    Pcg32 rng(2016, 7);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](std::uint64_t v) {
+        h ^= v;
+        h *= 0x100000001b3ull;
+    };
+    const double zetan = zipf.zetan();
+    std::uint64_t zetanBits = 0;
+    std::memcpy(&zetanBits, &zetan, sizeof zetan);
+    mix(zetanBits);
+    for (int i = 0; i < 10000; ++i)
+        mix(zipf.sample(rng));
+    return h;
+}
+
+} // namespace
+
+// Defined ahead of the sequential golden test so that, when the whole
+// binary runs in one process, the parties construct generators while
+// the process-wide normalization memo is still cold.
+TEST(ZipfGolden, ConcurrentConstructionMatchesGolden)
+{
+    constexpr unsigned kParties = 4;
+    WorkerPool pool(kParties - 1);
+    std::vector<std::vector<std::uint64_t>> got(kParties);
+    pool.run(kParties, [&](unsigned party) {
+        // Each party starts at a different case so first inserts race
+        // on different keys.
+        for (std::size_t k = 0; k < kZipfGolden.size(); ++k) {
+            const auto &c = kZipfGolden[(k + party) % kZipfGolden.size()];
+            got[party].push_back(zipfDrawHash(c.n, c.theta));
+        }
+    });
+    for (unsigned party = 0; party < kParties; ++party) {
+        for (std::size_t k = 0; k < kZipfGolden.size(); ++k) {
+            const auto &c = kZipfGolden[(k + party) % kZipfGolden.size()];
+            EXPECT_EQ(got[party][k], c.hash)
+                << "party " << party << " n=" << c.n
+                << " theta=" << c.theta;
+        }
+    }
+}
+
+TEST(ZipfGolden, FirstTenThousandDrawsMatch)
+{
+    for (const auto &c : kZipfGolden) {
+        const std::uint64_t h = zipfDrawHash(c.n, c.theta);
+        EXPECT_EQ(h, c.hash) << "n=" << c.n << " theta=" << c.theta
+                             << std::hex << " hash=0x" << h;
+    }
+}
