@@ -90,10 +90,7 @@ main(int argc, char **argv)
             csv = true;
     }
     WorkloadId preset = WorkloadId::WS;
-    for (auto wl : kAllWorkloads) {
-        if (workload == workloadAcronym(wl))
-            preset = wl;
-    }
+    tryWorkloadFromName(workload, preset);
     const std::vector<MixPart> mix = {{WorkloadId::WS, 8},
                                       {WorkloadId::TPCHQ6, 8}};
     const std::string mixLabel = "mix WS:8 + TPCH-Q6:8";

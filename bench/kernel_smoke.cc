@@ -13,9 +13,9 @@
  *    measured on the same build, host and config
  *
  * The smoke also cross-checks that both kernels produce bit-identical
- * metrics, the event kernel's core contract, and that the fairness
- * (schema v4) and stacked-backend (schema v6) MetricSet fields survive
- * a results-cache round-trip.
+ * metrics (every metricMismatch() field), the event kernel's core
+ * contract, and that fairness, stacked and tiered points recall
+ * exactly from the results cache (exit 2 and 3 on failure).
  *
  * Usage: kernel_smoke [--cycles N] [--workload ACR] [--device DEV]
  *                     [--channels N]
@@ -43,12 +43,12 @@
 
 #include <cctype>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "dram/devices.hh"
 #include "sim/experiment.hh"
@@ -118,182 +118,72 @@ runOnce(WorkloadId wl, const DramDevice &dev,
 WorkloadId
 workloadByAcronym(const std::string &acr)
 {
-    for (auto wl : kAllWorkloads) {
-        if (acr == workloadAcronym(wl))
-            return wl;
+    WorkloadId wl = WorkloadId::WS;
+    if (!tryWorkloadFromName(acr, wl)) {
+        std::fprintf(stderr, "unknown workload '%s', using WS\n",
+                     acr.c_str());
     }
-    std::fprintf(stderr, "unknown workload '%s', using WS\n",
-                 acr.c_str());
-    return WorkloadId::WS;
-}
-
-bool
-identical(const MetricSet &a, const MetricSet &b)
-{
-    return a.userIpc == b.userIpc && a.avgReadLatency == b.avgReadLatency &&
-           a.readLatencyP50 == b.readLatencyP50 &&
-           a.readLatencyP95 == b.readLatencyP95 &&
-           a.readLatencyP99 == b.readLatencyP99 &&
-           a.rowHitRatePct == b.rowHitRatePct && a.l2Mpki == b.l2Mpki &&
-           a.sameGroupCasPct == b.sameGroupCasPct &&
-           a.avgReadQueue == b.avgReadQueue &&
-           a.avgWriteQueue == b.avgWriteQueue &&
-           a.bwUtilPct == b.bwUtilPct &&
-           a.singleAccessPct == b.singleAccessPct &&
-           a.ipcDisparity == b.ipcDisparity &&
-           a.dramEnergyNj == b.dramEnergyNj &&
-           a.dramAvgPowerMw == b.dramAvgPowerMw &&
-           a.committedInstructions == b.committedInstructions &&
-           a.measuredCycles == b.measuredCycles &&
-           a.memReads == b.memReads && a.memWrites == b.memWrites &&
-           a.perCoreIpc == b.perCoreIpc &&
-           a.perCoreCommitted == b.perCoreCommitted &&
-           a.perCoreCycles == b.perCoreCycles;
+    return wl;
 }
 
 /**
- * Schema-v4 round-trip check: the slowdown/fairness MetricSet fields
- * (weighted/harmonic speedup, max slowdown, the per-core IPC and
- * slowdown lists) must survive the results cache. Runs one tiny
- * fairness point (shared run + alone baseline) against a scratch
- * cache, reloads it with a fresh runner, and compares.
+ * Results-cache recall check: a fairness point (shared run plus its
+ * alone baseline), a stacked point with remapping on and a tiered
+ * point run against a scratch cache; a fresh runner over that cache
+ * must then recall all three bit-identically without simulating.
  */
 bool
-fairnessCacheRoundtrips(WorkloadId wl, const DramDevice &dev,
-                        const std::string &cachePath)
+cacheRoundtrips(WorkloadId wl, const DramDevice &dev,
+                const std::string &cachePath)
 {
-    std::remove(cachePath.c_str());
-    SimConfig cfg = SimConfig::baseline();
-    cfg.applyDevice(dev);
-    cfg.warmupCoreCycles = 50'000;
-    cfg.measureCoreCycles = 150'000;
-    ExperimentRunner::Point p(wl, cfg);
-    ExperimentRunner::attachAloneBaseline(p);
+    SimConfig base = SimConfig::baseline();
+    base.warmupCoreCycles = 50'000;
+    base.measureCoreCycles = 150'000;
 
-    MetricSet fresh, cached;
+    SimConfig flat = base;
+    flat.applyDevice(dev);
+    ExperimentRunner::Point fair(wl, flat);
+    ExperimentRunner::attachAloneBaseline(fair);
+
+    SimConfig stacked = base;
+    stacked.applyDevice(dramDeviceOrDie("HMC2-8GB"));
+    stacked.setVaults(4);
+    stacked.remap.enabled = true;
+    stacked.remap.windowAccesses = 256;
+
+    SimConfig tiered = base;
+    tiered.tier.enabled = true;
+    tiered.tier.policy = TierPolicy::HotnessBased;
+    tiered.tier.monitorWindowSamples = 64;
+
+    const std::vector<ExperimentRunner::Point> points = {
+        fair, {wl, stacked}, {wl, tiered}};
+    std::remove(cachePath.c_str());
+    std::vector<MetricSet> fresh, recalled;
     std::uint64_t rerunSims = 0;
     {
         ExperimentRunner runner(cachePath);
-        fresh = runner.runAll({p}, 1).front();
+        fresh = runner.runAll(points, 1);
     }
     {
         ExperimentRunner runner(cachePath);
-        cached = runner.runAll({p}, 1).front();
+        recalled = runner.runAll(points, 1);
         rerunSims = runner.simulationsRun();
     }
     std::remove(cachePath.c_str());
 
-    // The CSV stores ~6 significant digits; compare relatively.
-    const auto close = [](double a, double b) {
-        return std::fabs(a - b) <= 1e-5 * (std::fabs(b) + 1.0);
-    };
-    bool ok = rerunSims == 0 && fresh.hasFairness() &&
-              cached.hasFairness() &&
-              cached.perCoreIpc.size() == fresh.perCoreIpc.size() &&
-              cached.perCoreSlowdown.size() ==
-                  fresh.perCoreSlowdown.size() &&
-              close(cached.weightedSpeedup, fresh.weightedSpeedup) &&
-              close(cached.harmonicSpeedup, fresh.harmonicSpeedup) &&
-              close(cached.maxSlowdown, fresh.maxSlowdown);
-    for (std::size_t i = 0; ok && i < fresh.perCoreSlowdown.size(); ++i) {
-        ok = close(cached.perCoreIpc[i], fresh.perCoreIpc[i]) &&
-             close(cached.perCoreSlowdown[i], fresh.perCoreSlowdown[i]);
+    bool ok = rerunSims == 0 && fresh[0].hasFairness() &&
+              fresh[1].perVaultReadQueue.size() == 4 &&
+              fresh[2].fastTierHitPct > 0.0;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const std::string diff = metricMismatch(fresh[i], recalled[i]);
+        if (!diff.empty()) {
+            std::fprintf(stderr, "cache round-trip of point %zu: %s\n", i,
+                         diff.c_str());
+            ok = false;
+        }
     }
     return ok;
-}
-
-/**
- * Schema-v6 round-trip check: the stacked-backend MetricSet fields
- * (per-vault read-queue depths, the vault queue imbalance, and the
- * remap migration counters) must survive the results cache. Runs one
- * tiny stacked point (4 vaults, remapping on) against a scratch
- * cache, reloads it with a fresh runner, and compares.
- */
-bool
-stackedCacheRoundtrips(WorkloadId wl, const std::string &cachePath)
-{
-    std::remove(cachePath.c_str());
-    SimConfig cfg = SimConfig::baseline();
-    cfg.applyDevice(dramDeviceOrDie("HMC2-8GB"));
-    cfg.setVaults(4);
-    cfg.remap.enabled = true;
-    cfg.remap.windowAccesses = 256;
-    cfg.warmupCoreCycles = 50'000;
-    cfg.measureCoreCycles = 150'000;
-    ExperimentRunner::Point p(wl, cfg);
-
-    MetricSet fresh, cached;
-    std::uint64_t rerunSims = 0;
-    {
-        ExperimentRunner runner(cachePath);
-        fresh = runner.runAll({p}, 1).front();
-    }
-    {
-        ExperimentRunner runner(cachePath);
-        cached = runner.runAll({p}, 1).front();
-        rerunSims = runner.simulationsRun();
-    }
-    std::remove(cachePath.c_str());
-
-    const auto close = [](double a, double b) {
-        return std::fabs(a - b) <= 1e-5 * (std::fabs(b) + 1.0);
-    };
-    bool ok = rerunSims == 0 && fresh.perVaultReadQueue.size() == 4 &&
-              cached.perVaultReadQueue.size() == 4 &&
-              cached.remapMigrations == fresh.remapMigrations &&
-              cached.remapMigratedRows == fresh.remapMigratedRows &&
-              close(cached.vaultQueueImbalance,
-                    fresh.vaultQueueImbalance);
-    for (std::size_t i = 0; ok && i < fresh.perVaultReadQueue.size();
-         ++i) {
-        ok = close(cached.perVaultReadQueue[i],
-                   fresh.perVaultReadQueue[i]);
-    }
-    return ok;
-}
-
-/**
- * Schema-v7 (tiered-backend) acceptance: the tier columns (fast-tier
- * hit fraction, slow-tier read p99, migration counters) must survive
- * the results cache. Runs one tiny tiered point (hotness_based, a
- * monitor window small enough that migrations fire) against a scratch
- * cache, reloads it with a fresh runner, and compares.
- */
-bool
-tieredCacheRoundtrips(WorkloadId wl, const std::string &cachePath)
-{
-    std::remove(cachePath.c_str());
-    SimConfig cfg = SimConfig::baseline();
-    cfg.tier.enabled = true;
-    cfg.tier.policy = TierPolicy::HotnessBased;
-    cfg.tier.monitorWindowSamples = 64;
-    cfg.warmupCoreCycles = 50'000;
-    cfg.measureCoreCycles = 150'000;
-    ExperimentRunner::Point p(wl, cfg);
-
-    MetricSet fresh, cached;
-    std::uint64_t rerunSims = 0;
-    {
-        ExperimentRunner runner(cachePath);
-        fresh = runner.runAll({p}, 1).front();
-    }
-    {
-        ExperimentRunner runner(cachePath);
-        cached = runner.runAll({p}, 1).front();
-        rerunSims = runner.simulationsRun();
-    }
-    std::remove(cachePath.c_str());
-
-    const auto close = [](double a, double b) {
-        return std::fabs(a - b) <= 1e-5 * (std::fabs(b) + 1.0);
-    };
-    return rerunSims == 0 && fresh.fastTierHitPct > 0.0 &&
-           fresh.slowTierReadLatencyP99 > 0.0 &&
-           close(cached.fastTierHitPct, fresh.fastTierHitPct) &&
-           close(cached.slowTierReadLatencyP99,
-                 fresh.slowTierReadLatencyP99) &&
-           cached.tierMigrations == fresh.tierMigrations &&
-           cached.tierMigratedRows == fresh.tierMigratedRows;
 }
 
 /**
@@ -393,16 +283,12 @@ main(int argc, char **argv)
 
     const KernelRun ref = runOnce(wl, dev, cycles, true, channels);
     const KernelRun ev = runOnce(wl, dev, cycles, false, channels);
-    const bool bitIdentical =
-        identical(ev.metrics, ref.metrics) && ev.endTick == ref.endTick;
+    const std::string mismatch = metricMismatch(ev.metrics, ref.metrics);
+    const bool bitIdentical = mismatch.empty() && ev.endTick == ref.endTick;
     const double speedup =
         ref.mticksPerS > 0.0 ? ev.mticksPerS / ref.mticksPerS : 0.0;
-    const bool fairnessRoundtrip =
-        fairnessCacheRoundtrips(wl, dev, jsonPath + ".cache.tmp.csv");
-    const bool stackedRoundtrip =
-        stackedCacheRoundtrips(wl, jsonPath + ".cache.tmp.csv");
-    const bool tieredRoundtrip =
-        tieredCacheRoundtrips(wl, jsonPath + ".cache.tmp.csv");
+    const bool cacheRoundtrip =
+        cacheRoundtrips(wl, dev, jsonPath + ".cache.tmp.csv");
 
     std::printf("kernel_smoke: fig01 config, workload %s, device %s, "
                 "%u channel(s), %llu measured core cycles\n",
@@ -414,14 +300,10 @@ main(int argc, char **argv)
                 100.0 * ev.batchedFrac, 100.0 * ev.ctlTicksFrac);
     std::printf("  reference kernel: %7.2f Mticks/s (%.3f s)\n",
                 ref.mticksPerS, ref.wallS);
-    std::printf("  speedup %.2fx, metrics bit-identical: %s\n", speedup,
-                bitIdentical ? "yes" : "NO");
-    std::printf("  fairness fields survive cache round-trip: %s\n",
-                fairnessRoundtrip ? "yes" : "NO");
-    std::printf("  stacked fields survive cache round-trip: %s\n",
-                stackedRoundtrip ? "yes" : "NO");
-    std::printf("  tiered fields survive cache round-trip: %s\n",
-                tieredRoundtrip ? "yes" : "NO");
+    std::printf("  speedup %.2fx, metrics bit-identical: %s%s\n", speedup,
+                bitIdentical ? "yes" : "NO ", mismatch.c_str());
+    std::printf("  cache recalls fairness/stacked/tiered exactly: %s\n",
+                cacheRoundtrip ? "yes" : "NO");
 
     const ClockDomains &clk = ev.clk;
     std::FILE *f = std::fopen(jsonPath.c_str(), "w");
@@ -456,9 +338,7 @@ main(int argc, char **argv)
         "  },\n"
         "  \"speedup_vs_reference\": %.3f,\n"
         "  \"metrics_bit_identical\": %s,\n"
-        "  \"fairness_cache_roundtrip\": %s,\n"
-        "  \"stacked_cache_roundtrip\": %s,\n"
-        "  \"tiered_cache_roundtrip\": %s\n"
+        "  \"cache_roundtrip\": %s\n"
         "}\n",
         gitSha().c_str(), workload.c_str(), dev.name.c_str(), channels,
         static_cast<unsigned long long>(clk.ticksPerCore.count()),
@@ -468,19 +348,12 @@ main(int argc, char **argv)
         ev.mticksPerS, ev.wallS, ev.coreTicksFrac, ev.ctlTicksFrac,
         ev.batchedFrac, static_cast<unsigned long long>(ev.batchRuns),
         ref.mticksPerS, ref.wallS, speedup,
-        bitIdentical ? "true" : "false",
-        fairnessRoundtrip ? "true" : "false",
-        stackedRoundtrip ? "true" : "false",
-        tieredRoundtrip ? "true" : "false");
+        bitIdentical ? "true" : "false", cacheRoundtrip ? "true" : "false");
     std::fclose(f);
     if (!bitIdentical)
         return 2;
-    if (!fairnessRoundtrip)
+    if (!cacheRoundtrip)
         return 3;
-    if (!stackedRoundtrip)
-        return 5;
-    if (!tieredRoundtrip)
-        return 6;
     if (baseSpeedup > 0.0) {
         const double floor = 0.85 * baseSpeedup;
         std::printf("  regression guard: measured %.2fx vs baseline "

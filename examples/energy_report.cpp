@@ -64,15 +64,7 @@ main(int argc, char **argv)
         return 0;
     }
     WorkloadId id = WorkloadId::MS;
-    bool found = false;
-    for (auto w : kAllWorkloads) {
-        if (wanted == workloadAcronym(w)) {
-            id = w;
-            found = true;
-            break;
-        }
-    }
-    if (!found) {
+    if (!tryWorkloadFromName(wanted, id)) {
         std::fprintf(stderr, "unknown workload '%s'\n", wanted.c_str());
         return 1;
     }

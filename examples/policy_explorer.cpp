@@ -56,15 +56,7 @@ main(int argc, char **argv)
     }
 
     WorkloadId id = WorkloadId::DS;
-    bool found = false;
-    for (auto w : kAllWorkloads) {
-        if (wanted == workloadAcronym(w)) {
-            id = w;
-            found = true;
-            break;
-        }
-    }
-    if (!found) {
+    if (!tryWorkloadFromName(wanted, id)) {
         std::fprintf(stderr, "unknown workload '%s'; choose from:",
                      wanted.c_str());
         for (auto w : kAllWorkloads)

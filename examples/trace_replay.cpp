@@ -48,15 +48,7 @@ main(int argc, char **argv)
         argc > 2 ? argv[2] : "/tmp/cloudmc_example.trace";
 
     WorkloadId id = WorkloadId::MS;
-    bool found = false;
-    for (auto w : kAllWorkloads) {
-        if (wanted == workloadAcronym(w)) {
-            id = w;
-            found = true;
-            break;
-        }
-    }
-    if (!found) {
+    if (!tryWorkloadFromName(wanted, id)) {
         std::fprintf(stderr, "unknown workload '%s'\n", wanted.c_str());
         return 1;
     }

@@ -19,14 +19,25 @@ mappingSchemeName(MappingScheme s)
     return "???";
 }
 
+bool
+tryMappingSchemeFromName(const std::string &name, MappingScheme &out)
+{
+    for (auto s : kExtendedMappingSchemes) {
+        if (name == mappingSchemeName(s)) {
+            out = s;
+            return true;
+        }
+    }
+    return false;
+}
+
 MappingScheme
 mappingSchemeFromName(const std::string &name)
 {
-    for (auto s : kExtendedMappingSchemes) {
-        if (name == mappingSchemeName(s))
-            return s;
-    }
-    mc_fatal("unknown mapping scheme '", name, "'");
+    MappingScheme s{};
+    if (!tryMappingSchemeFromName(name, s))
+        mc_fatal("unknown mapping scheme '", name, "'");
+    return s;
 }
 
 const char *

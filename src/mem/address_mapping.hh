@@ -51,7 +51,11 @@ constexpr std::array<MappingScheme, 6> kExtendedMappingSchemes = {
 
 const char *mappingSchemeName(MappingScheme s);
 
-/** Parse a scheme name; fatal on unknown names. */
+/** Parse a scheme name (any of kExtendedMappingSchemes); false on
+ *  unknown names. */
+bool tryMappingSchemeFromName(const std::string &name, MappingScheme &out);
+
+/** As above, but fatal (user error) on unknown names. */
 MappingScheme mappingSchemeFromName(const std::string &name);
 
 /**

@@ -713,7 +713,7 @@ class TieredMemBackend final : public MemBackend
         m.dramAvgPowerMw =
             elapsedNs > 0.0 ? m.dramEnergyNj * 1e3 / elapsedNs : 0.0;
 
-        // Tier quantities (schema v7). Every ratio guards its empty
+        // Tier quantities. Every ratio guards its empty
         // set: a run with no routed accesses reports a 0 hit fraction,
         // and a slow tier that served no reads reports a 0 p99 (the
         // histogram percentile of an empty merge is 0 by contract).

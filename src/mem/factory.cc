@@ -24,14 +24,25 @@ schedulerKindName(SchedulerKind k)
     return "???";
 }
 
+bool
+trySchedulerKindFromName(const std::string &name, SchedulerKind &out)
+{
+    for (auto k : kAllSchedulers) {
+        if (name == schedulerKindName(k)) {
+            out = k;
+            return true;
+        }
+    }
+    return false;
+}
+
 SchedulerKind
 schedulerKindFromName(const std::string &name)
 {
-    for (auto k : kAllSchedulers) {
-        if (name == schedulerKindName(k))
-            return k;
-    }
-    mc_fatal("unknown scheduler '", name, "'");
+    SchedulerKind k{};
+    if (!trySchedulerKindFromName(name, k))
+        mc_fatal("unknown scheduler '", name, "'");
+    return k;
 }
 
 const char *
@@ -50,14 +61,25 @@ pagePolicyKindName(PagePolicyKind k)
     return "???";
 }
 
+bool
+tryPagePolicyKindFromName(const std::string &name, PagePolicyKind &out)
+{
+    for (auto k : kAllPagePolicies) {
+        if (name == pagePolicyKindName(k)) {
+            out = k;
+            return true;
+        }
+    }
+    return false;
+}
+
 PagePolicyKind
 pagePolicyKindFromName(const std::string &name)
 {
-    for (auto k : kAllPagePolicies) {
-        if (name == pagePolicyKindName(k))
-            return k;
-    }
-    mc_fatal("unknown page policy '", name, "'");
+    PagePolicyKind k{};
+    if (!tryPagePolicyKindFromName(name, k))
+        mc_fatal("unknown page policy '", name, "'");
+    return k;
 }
 
 std::unique_ptr<Scheduler>

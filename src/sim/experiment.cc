@@ -1,7 +1,6 @@
 #include "experiment.hh"
 
 #include <atomic>
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -11,6 +10,7 @@
 
 #include "common/log.hh"
 #include "common/worker_pool.hh"
+#include "spec.hh"
 #include "system.hh"
 
 namespace mcsim {
@@ -50,22 +50,6 @@ ExperimentRunner::defaultThreads()
 }
 
 namespace {
-
-/** Key segment carrying the device + clock fingerprint (schema v3). */
-constexpr const char *kDeviceKeyTag = "|dev=";
-
-/** Key segment carrying the bank-group fingerprint (schema v5):
- *  groups per rank plus the group-mapping option. */
-constexpr const char *kBankGroupKeyTag = "|bg=";
-
-/** Key segment carrying the memory-backend fingerprint (schema v6):
- *  "flat", or the stacked geometry ("st<vaults>v<banks>b", plus a
- *  trailing 'r' when dynamic remapping is on). */
-constexpr const char *kBackendKeyTag = "|be=";
-
-/** Prefix of the full-parameter hash segment (schema v4). */
-constexpr const char *kParamsKeyTag = "|p";
-constexpr std::size_t kParamsHashDigits = 16;
 
 /** FNV-1a accumulator over the config fields the readable key omits. */
 class ParamsHasher
@@ -120,18 +104,17 @@ class ParamsHasher
 };
 
 /**
- * Hash of every tunable the readable key segments do not spell out:
- * the full SchedulerParams set (the old key fingerprinted only the
- * ATLAS quantum, so STFM-alpha or TCM sweeps aliased to one row),
- * page-policy-affecting controller knobs, refresh, crossbar latency,
- * and the geometry/hierarchy/core dimensions, DRAM timings and power
- * a hand-modified config could change without changing the device
- * name.
+ * Hash of every tunable the readable key segments do not spell out
+ * exactly: both measurement windows (the readable segment rounds them
+ * to kilocycles), the full SchedulerParams set, page-policy-affecting
+ * controller knobs, refresh, crossbar latency, the geometry/hierarchy/
+ * core dimensions, and every DRAM timing and power parameter.
  */
 std::uint64_t
 paramsHash(const SimConfig &cfg)
 {
     ParamsHasher h;
+    h.u64(cfg.warmupCoreCycles).u64(cfg.measureCoreCycles);
     const SchedulerParams &sp = cfg.schedulerParams;
     h.u64(sp.parBs.batchingCap);
     h.u64(sp.atlas.quantumCycles)
@@ -175,24 +158,10 @@ paramsHash(const SimConfig &cfg)
         .u64(cfg.core.storeBufferEntries)
         .u64(cfg.core.l2HitLatency)
         .u64(cfg.core.instrsPerFetchBlock);
-    // Schema v6 extends the hash *conditionally*: the stacked-backend
-    // and TSV fields are folded in only when they are in play, so every
-    // flat-backend hash is byte-identical to the v5 hash and the v5
-    // cache rows stay recallable without a migration pass.
-    if (cfg.timings.tTSV != 0)
-        h.u64(cfg.timings.tTSV);
-    // Hand-tuned timings or power (anything that differs from the
-    // named registry device) are folded in whole; stock devices add
-    // nothing, so their keys stay byte-identical to the v5-v7 keys.
-    const DramDevice *dev = findDramDevice(cfg.deviceName);
-    if (!dev || ParamsHasher{}.timings(cfg.timings).value() !=
-                    ParamsHasher{}.timings(dev->timings).value()) {
-        h.timings(cfg.timings);
-    }
-    if (!dev || ParamsHasher{}.power(cfg.power).value() !=
-                    ParamsHasher{}.power(dev->power).value()) {
-        h.power(cfg.power);
-    }
+    h.timings(cfg.timings).power(cfg.power);
+    // The stacked and tier knobs are folded in only when they are in
+    // play, so a sweep that leaves them dormant (e.g. a flat device
+    // with a tuned remap struct) recalls one shared row.
     if (cfg.backend == MemBackendKind::StackedDram) {
         h.u64(cfg.dram.vaultsPerStack);
         h.u64(cfg.remap.enabled ? 1 : 0)
@@ -201,9 +170,6 @@ paramsHash(const SimConfig &cfg)
             .u64(cfg.remap.migrationRows)
             .u64(cfg.remap.migrationCyclesPerRow);
     }
-    // Schema v7: the tiered-memory knobs, again folded in only when
-    // the tier is enabled so every non-tiered hash (and therefore every
-    // v6 key) stays byte-identical.
     if (cfg.tier.enabled) {
         h.u64(static_cast<std::uint64_t>(cfg.tier.policy))
             .u64(cfg.tier.slowLatencyDramCycles)
@@ -223,21 +189,21 @@ paramsHash(const SimConfig &cfg)
 std::string
 paramsSegment(const SimConfig &cfg)
 {
-    char buf[2 + kParamsHashDigits + 1];
-    std::snprintf(buf, sizeof(buf), "%s%016llx", kParamsKeyTag,
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "|p%016llx",
                   static_cast<unsigned long long>(paramsHash(cfg)));
     return buf;
 }
 
-/** The "|bg=<groups><i|p>" segment for @p cfg (schema v5). On a
- *  single-group device the two placements are the same physical
- *  layout, so the segment normalizes to 'i' and a sweep over the
- *  group-mapping axis recalls one shared row instead of simulating
- *  the identical point twice. */
+/** The "|bg=<groups><i|p>" segment for @p cfg: bank groups per rank
+ *  plus the group-mapping option. On a single-group device the two
+ *  placements are the same physical layout, so the segment normalizes
+ *  to 'i' and a sweep over the group-mapping axis recalls one shared
+ *  row instead of simulating the identical point twice. */
 std::string
 bankGroupSegment(const SimConfig &cfg)
 {
-    std::string seg = kBankGroupKeyTag;
+    std::string seg = "|bg=";
     seg += std::to_string(cfg.dram.bankGroupsPerRank);
     const bool packed = cfg.dram.bankGroupsPerRank > 1 &&
                         cfg.bankGroupMapping ==
@@ -246,14 +212,15 @@ bankGroupSegment(const SimConfig &cfg)
     return seg;
 }
 
-/** The "|be=..." segment for @p cfg (schema v6; schema v7 appends a
- *  "+t<fast-capacity-pct><policy initial>" suffix when the tiered
- *  composition is enabled, so a tiered run never aliases the plain
- *  fast-tier row and non-tiered keys stay byte-identical to v6). */
+/** The "|be=..." segment for @p cfg: "flat", or the stacked geometry
+ *  ("st<vaults>v<banks>b", plus 'r' when dynamic remapping is on),
+ *  with a "+t<fast-capacity-pct><policy initial>" suffix when the
+ *  tiered composition is enabled, so a tiered run never aliases the
+ *  plain fast-tier row. */
 std::string
 backendSegment(const SimConfig &cfg)
 {
-    std::string seg = kBackendKeyTag;
+    std::string seg = "|be=";
     if (cfg.backend == MemBackendKind::StackedDram) {
         seg += "st";
         seg += std::to_string(cfg.dram.vaultsPerStack);
@@ -273,26 +240,6 @@ backendSegment(const SimConfig &cfg)
     return seg;
 }
 
-/** Does @p key already end with a params-hash segment? */
-bool
-hasParamsSegment(const std::string &key)
-{
-    const std::size_t segLen = 2 + kParamsHashDigits;
-    if (key.size() < segLen)
-        return false;
-    const std::size_t at = key.size() - segLen;
-    if (key.compare(at, 2, kParamsKeyTag) != 0)
-        return false;
-    for (std::size_t i = at + 2; i < key.size(); ++i) {
-        const char c = key[i];
-        if (!std::isxdigit(static_cast<unsigned char>(c)) ||
-            std::isupper(static_cast<unsigned char>(c))) {
-            return false;
-        }
-    }
-    return true;
-}
-
 } // namespace
 
 std::string
@@ -309,23 +256,14 @@ ExperimentRunner::configKey(WorkloadId workload, const SimConfig &cfg)
         << fastDivisor();
     if (cfg.coreMlpOverride)
         key << "|mlp" << cfg.coreMlpOverride;
-    // Schema v3: rows are keyed by the DRAM device and both clock
-    // frequencies, so two devices (or a core-frequency sweep) can
-    // never alias to one cached row.
-    key << kDeviceKeyTag << cfg.deviceName << '@' << cfg.clocks.coreMhz
+    // The DRAM device and both clock frequencies, so two devices (or a
+    // core-frequency sweep) never alias to one cached row.
+    key << "|dev=" << cfg.deviceName << '@' << cfg.clocks.coreMhz
         << ':' << cfg.clocks.dramMhz;
-    // Schema v5: the bank-group axis (groups per rank + the group-
-    // mapping option), so a grouped-timing run never aliases a row
-    // simulated under the old single-tCCD model or the other mapping.
-    key << bankGroupSegment(cfg);
-    // Schema v6: the memory-backend axis (flat vs. stacked vault
-    // geometry, with the remap flag), so a stacked-backend run never
-    // aliases a row simulated under the flat JEDEC model.
-    key << backendSegment(cfg);
-    // Schema v4: a hash of the full parameter set, so sweeps over any
-    // scheduler/controller/geometry tunable the readable segments omit
-    // can never alias either.
-    key << paramsSegment(cfg);
+    key << bankGroupSegment(cfg) << backendSegment(cfg);
+    // A hash of everything else that shapes the run, then the model
+    // version that produced the row.
+    key << paramsSegment(cfg) << "|m" << kModelVersion;
     return key.str();
 }
 
@@ -345,190 +283,108 @@ ExperimentRunner::pointKey(const Point &p)
 
 namespace {
 
-/** The v1 record's 15 numeric CSV columns. */
-constexpr std::size_t kCacheFieldsV1 = 15;
-/** Schema v2 appends the read-latency percentiles (P50/P95/P99).
- *  Schema v3 keeps the v2 columns and extends the *key* with the
- *  device/clock segment; v1/v2 rows are migrated on load by tagging
- *  their keys with the only device those schemas could simulate (the
- *  DDR3-1600 baseline at stock clocks). */
-constexpr std::size_t kCacheFieldsV2 = 18;
-/** Schema v4 appends the fairness scalars (weighted speedup, harmonic
- *  speedup, max slowdown) plus two ';'-joined per-core lists (IPC and
- *  slowdown, either possibly empty), and extends the *key* with the
- *  full-parameter hash segment; older keys are migrated on load by
- *  tagging them with the baseline parameter set (the only one the
- *  benches swept before the hash existed — rows written by older
- *  builds with hand-tuned parameters were aliased then and stay
- *  indistinguishable, so they migrate as baseline rows too). */
-constexpr std::size_t kCacheScalarsV4 = 21;
-constexpr std::size_t kCacheFieldsV4 = 23;
-/** Schema v5 appends the same-bank-group CAS percentage column and
- *  extends the *key* with the bank-group segment; older keys are
- *  migrated on load by tagging them with the single-group fingerprint
- *  ("|bg=1i") — the only timing model those schemas could simulate. */
-constexpr std::size_t kCacheFieldsV5 = 24;
-/** Schema v6 appends the stacked-backend columns (vault-queue
- *  imbalance, the two remap-migration counters, and the ';'-joined
- *  per-vault read-queue list — all zeros/empty on flat rows) and
- *  extends the *key* with the backend segment; older keys are migrated
- *  on load by tagging them with the flat fingerprint ("|be=flat") —
- *  the only backend those schemas could simulate. */
-constexpr std::size_t kCacheFieldsV6 = 28;
-/** Schema v7 appends the tiered-backend columns (fast-tier hit
- *  percent, slow-tier read-latency P99, and the two tier-migration
- *  counters — all zeros on non-tiered rows) and extends the *key*'s
- *  backend segment with a "+t..." suffix on tiered configs only, so
- *  v6 keys and rows need no migration at all: a v6 line parses as a
- *  v7 row whose tier columns are zero. */
-constexpr std::size_t kCacheFieldsV7 = 32;
+void
+appendValue(std::string &out, double v)
+{
+    // 17 significant digits: strtod reads back the identical bits.
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    out += buf;
+}
 
-/** Parse a ';'-joined list of doubles; empty text is an empty list. */
+void
+appendValue(std::string &out, std::uint64_t v)
+{
+    out += std::to_string(v);
+}
+
+template <typename T>
+void
+appendValue(std::string &out, const std::vector<T> &list)
+{
+    for (std::size_t i = 0; i < list.size(); ++i) {
+        if (i)
+            out += ';';
+        appendValue(out, list[i]);
+    }
+}
+
 bool
-parseDoubleList(const std::string &text, std::vector<double> &out)
+parseValue(const std::string &text, double &out)
+{
+    char *end = nullptr;
+    out = std::strtod(text.c_str(), &end);
+    return !text.empty() && end == text.c_str() + text.size();
+}
+
+bool
+parseValue(const std::string &text, std::uint64_t &out)
+{
+    return parseUint(text, out);
+}
+
+/** A ';'-joined list; empty text is an empty list. */
+template <typename T>
+bool
+parseValue(const std::string &text, std::vector<T> &out)
 {
     out.clear();
-    if (text.empty())
-        return true;
     std::size_t start = 0;
-    while (true) {
+    while (start < text.size()) {
         const std::size_t semi = text.find(';', start);
-        const std::string item =
-            semi == std::string::npos
-                ? text.substr(start)
-                : text.substr(start, semi - start);
-        char *end = nullptr;
-        const double v = std::strtod(item.c_str(), &end);
-        if (item.empty() || end != item.c_str() + item.size())
+        T v{};
+        if (!parseValue(text.substr(start, semi - start), v))
             return false;
         out.push_back(v);
         if (semi == std::string::npos)
             return true;
         start = semi + 1;
     }
+    // Empty text, or a trailing ';' (an empty last item).
+    return text.empty();
 }
 
-/**
- * Split one CSV line; accepts key + 15 fields (v1, written before the
- * percentiles were persisted — they load as 0), key + 18 fields
- * (v2/v3), key + 23 fields (v4, with the fairness columns), key + 24
- * fields (v5), key + 28 fields (v6, with the stacked-backend
- * columns), or key + 32 fields (v7, with the tiered-backend columns).
- */
-bool
-parseCacheLine(const std::string &line, std::string &key, MetricSet &m)
-{
-    std::vector<std::string> fields;
-    std::size_t start = 0;
-    while (true) {
-        const std::size_t comma = line.find(',', start);
-        if (comma == std::string::npos) {
-            fields.push_back(line.substr(start));
-            break;
-        }
-        fields.push_back(line.substr(start, comma - start));
-        start = comma + 1;
-    }
-    if ((fields.size() != kCacheFieldsV1 + 1 &&
-         fields.size() != kCacheFieldsV2 + 1 &&
-         fields.size() != kCacheFieldsV4 + 1 &&
-         fields.size() != kCacheFieldsV5 + 1 &&
-         fields.size() != kCacheFieldsV6 + 1 &&
-         fields.size() != kCacheFieldsV7 + 1) ||
-        fields[0].empty()) {
-        return false;
-    }
-    const std::size_t numFields = fields.size() - 1;
-    const std::size_t numScalars =
-        numFields > kCacheScalarsV4 ? kCacheScalarsV4 : numFields;
-
-    double v[kCacheScalarsV4] = {};
-    for (std::size_t i = 0; i < numScalars; ++i) {
-        const std::string &f = fields[i + 1];
-        char *end = nullptr;
-        v[i] = std::strtod(f.c_str(), &end);
-        if (f.empty() || end != f.c_str() + f.size())
-            return false;
-    }
-
-    key = fields[0];
-    m = MetricSet{};
-    m.userIpc = v[0];
-    m.avgReadLatency = v[1];
-    m.rowHitRatePct = v[2];
-    m.l2Mpki = v[3];
-    m.avgReadQueue = v[4];
-    m.avgWriteQueue = v[5];
-    m.bwUtilPct = v[6];
-    m.singleAccessPct = v[7];
-    m.committedInstructions = static_cast<std::uint64_t>(v[8]);
-    m.measuredCycles = static_cast<std::uint64_t>(v[9]);
-    m.memReads = static_cast<std::uint64_t>(v[10]);
-    m.memWrites = static_cast<std::uint64_t>(v[11]);
-    m.ipcDisparity = v[12];
-    m.dramEnergyNj = v[13];
-    m.dramAvgPowerMw = v[14];
-    if (numFields >= kCacheFieldsV2) {
-        m.readLatencyP50 = v[15];
-        m.readLatencyP95 = v[16];
-        m.readLatencyP99 = v[17];
-    }
-    if (numFields >= kCacheFieldsV4) {
-        m.weightedSpeedup = v[18];
-        m.harmonicSpeedup = v[19];
-        m.maxSlowdown = v[20];
-        if (!parseDoubleList(fields[1 + 21], m.perCoreIpc) ||
-            !parseDoubleList(fields[1 + 22], m.perCoreSlowdown)) {
-            return false;
-        }
-    }
-    if (numFields >= kCacheFieldsV5) {
-        const std::string &f = fields[1 + 23];
-        char *end = nullptr;
-        m.sameGroupCasPct = std::strtod(f.c_str(), &end);
-        if (f.empty() || end != f.c_str() + f.size())
-            return false;
-    }
-    if (numFields >= kCacheFieldsV6) {
-        double scalars[3] = {};
-        for (std::size_t i = 0; i < 3; ++i) {
-            const std::string &f = fields[1 + 24 + i];
-            char *end = nullptr;
-            scalars[i] = std::strtod(f.c_str(), &end);
-            if (f.empty() || end != f.c_str() + f.size())
-                return false;
-        }
-        m.vaultQueueImbalance = scalars[0];
-        m.remapMigrations = static_cast<std::uint64_t>(scalars[1]);
-        m.remapMigratedRows = static_cast<std::uint64_t>(scalars[2]);
-        if (!parseDoubleList(fields[1 + 27], m.perVaultReadQueue))
-            return false;
-    }
-    if (numFields >= kCacheFieldsV7) {
-        double scalars[4] = {};
-        for (std::size_t i = 0; i < 4; ++i) {
-            const std::string &f = fields[1 + 28 + i];
-            char *end = nullptr;
-            scalars[i] = std::strtod(f.c_str(), &end);
-            if (f.empty() || end != f.c_str() + f.size())
-                return false;
-        }
-        m.fastTierHitPct = scalars[0];
-        m.slowTierReadLatencyP99 = scalars[1];
-        m.tierMigrations = static_cast<std::uint64_t>(scalars[2]);
-        m.tierMigratedRows = static_cast<std::uint64_t>(scalars[3]);
-    }
-    return true;
-}
-
-/** Join doubles with ';' for one CSV field. */
+/** One cache row: the key, then ",name=value" for every MetricSet
+ *  field in forEachMetricField order, newline-terminated. */
 std::string
-joinDoubleList(const std::vector<double> &values)
+formatCacheRow(const std::string &key, const MetricSet &m)
 {
-    std::ostringstream out;
-    for (std::size_t i = 0; i < values.size(); ++i)
-        out << (i ? ";" : "") << values[i];
-    return out.str();
+    std::string row = key;
+    forEachMetricField([&](const char *name, auto member) {
+        row += ',';
+        row += name;
+        row += '=';
+        appendValue(row, m.*member);
+    });
+    row += '\n';
+    return row;
+}
+
+/** Inverse of formatCacheRow (without the newline). Rejects a row with
+ *  an empty key or any missing, unknown, reordered or unparseable
+ *  field. */
+bool
+parseCacheRow(const std::string &line, std::string &key, MetricSet &m)
+{
+    std::size_t comma = line.find(',');
+    if (comma == 0 || comma == std::string::npos)
+        return false;
+    key = line.substr(0, comma);
+    m = MetricSet{};
+    bool ok = true;
+    forEachMetricField([&](const char *name, auto member) {
+        if (!ok || comma == std::string::npos) {
+            ok = false;
+            return;
+        }
+        const std::size_t begin = comma + 1;
+        comma = line.find(',', begin);
+        const std::string field = line.substr(begin, comma - begin);
+        const std::string prefix = std::string(name) + '=';
+        ok = field.compare(0, prefix.size(), prefix) == 0 &&
+             parseValue(field.substr(prefix.size()), m.*member);
+    });
+    return ok && comma == std::string::npos;
 }
 
 } // namespace
@@ -543,70 +399,15 @@ ExperimentRunner::loadCache()
     while (std::getline(in, line)) {
         std::string key;
         MetricSet m;
-        if (!parseCacheLine(line, key, m))
-            continue;
-        // Schema v1/v2 keys predate the device axis; everything they
-        // recorded ran the DDR3-1600 baseline at stock clocks, so tag
-        // them with that fingerprint instead of dropping the rows.
-        if (key.find(kDeviceKeyTag) == std::string::npos)
-            key += std::string(kDeviceKeyTag) + "DDR3-1600@2000:800";
-        // Schema v1-v4 keys predate the bank-group axis; everything
-        // they recorded ran the single-tCCD model, i.e. one bank group
-        // under the (then-only) interleaved placement. Insert that
-        // fingerprint before any trailing params-hash segment so the
-        // migrated key matches configKey()'s segment order.
-        if (key.find(kBankGroupKeyTag) == std::string::npos) {
-            const std::string bgSeg =
-                std::string(kBankGroupKeyTag) + "1i";
-            if (hasParamsSegment(key))
-                key.insert(key.size() - (2 + kParamsHashDigits), bgSeg);
-            else
-                key += bgSeg;
-        }
-        // Schema v1-v5 keys predate the backend axis; everything they
-        // recorded ran the flat JEDEC model (the stacked backend did
-        // not exist). Insert that fingerprint before any trailing
-        // params-hash segment, matching configKey()'s segment order.
-        if (key.find(kBackendKeyTag) == std::string::npos) {
-            const std::string beSeg = std::string(kBackendKeyTag) + "flat";
-            if (hasParamsSegment(key))
-                key.insert(key.size() - (2 + kParamsHashDigits), beSeg);
-            else
-                key += beSeg;
-        }
-        // Schema v1-v3 keys predate the full-parameter hash; the only
-        // parameter set they could name unambiguously is the baseline
-        // one, so migrate them to its fingerprint.
-        if (!hasParamsSegment(key)) {
-            static const std::string baselineSeg =
-                paramsSegment(SimConfig::baseline());
-            key += baselineSeg;
-        }
-        cache_[key] = m;
+        if (parseCacheRow(line, key, m))
+            cache_[key] = m;
     }
 }
 
 void
 ExperimentRunner::appendToCache(const std::string &key, const MetricSet &m)
 {
-    std::ostringstream rec;
-    rec << key << ',' << m.userIpc << ',' << m.avgReadLatency << ','
-        << m.rowHitRatePct << ',' << m.l2Mpki << ',' << m.avgReadQueue
-        << ',' << m.avgWriteQueue << ',' << m.bwUtilPct << ','
-        << m.singleAccessPct << ',' << m.committedInstructions << ','
-        << m.measuredCycles << ',' << m.memReads << ',' << m.memWrites
-        << ',' << m.ipcDisparity << ',' << m.dramEnergyNj << ','
-        << m.dramAvgPowerMw << ',' << m.readLatencyP50 << ','
-        << m.readLatencyP95 << ',' << m.readLatencyP99 << ','
-        << m.weightedSpeedup << ',' << m.harmonicSpeedup << ','
-        << m.maxSlowdown << ',' << joinDoubleList(m.perCoreIpc) << ','
-        << joinDoubleList(m.perCoreSlowdown) << ',' << m.sameGroupCasPct
-        << ',' << m.vaultQueueImbalance << ',' << m.remapMigrations
-        << ',' << m.remapMigratedRows << ','
-        << joinDoubleList(m.perVaultReadQueue) << ','
-        << m.fastTierHitPct << ',' << m.slowTierReadLatencyP99 << ','
-        << m.tierMigrations << ',' << m.tierMigratedRows << '\n';
-    const std::string line = rec.str();
+    const std::string line = formatCacheRow(key, m);
 
     // One fwrite on an O_APPEND stream keeps the record contiguous
     // even when several processes share the cache file.
@@ -759,9 +560,6 @@ ExperimentRunner::runAll(const std::vector<Point> &points, unsigned threads)
     struct WorkItem
     {
         const Point *point;
-        /** The result must carry per-core IPCs (fairness needs them);
-         *  a cached pre-v4 row without them is treated as a miss. */
-        bool needPerCore;
         /** Fairness point: its CSV row is appended after derivation so
          *  the on-disk cache carries the fairness columns. */
         bool deferAppend;
@@ -769,16 +567,14 @@ ExperimentRunner::runAll(const std::vector<Point> &points, unsigned threads)
     std::vector<WorkItem> work;
     work.reserve(points.size());
     std::vector<std::vector<std::size_t>> baselineAt(points.size());
-    for (const Point &p : points) {
-        const bool fair = !p.baselines.empty();
-        work.push_back({&p, fair, fair});
-    }
+    for (const Point &p : points)
+        work.push_back({&p, !p.baselines.empty()});
     for (std::size_t i = 0; i < points.size(); ++i) {
         for (const Point::AloneBaseline &b : points[i].baselines) {
             mc_assert(b.run.baselines.empty(),
                       "baseline runs must not carry baselines");
             baselineAt[i].push_back(work.size());
-            work.push_back({&b.run, true, false});
+            work.push_back({&b.run, false});
         }
     }
 
@@ -809,8 +605,7 @@ ExperimentRunner::runAll(const std::vector<Point> &points, unsigned threads)
                 continue;
             }
             auto it = cache_.find(key);
-            if (it != cache_.end() &&
-                !(work[i].needPerCore && it->second.perCoreIpc.empty())) {
+            if (it != cache_.end()) {
                 ++cacheHits_;
                 res[i] = it->second;
                 continue;

@@ -28,6 +28,14 @@
 
 namespace mcsim {
 
+/**
+ * Version of the simulation model behind every cached row, carried in
+ * each configKey() as "|m<N>". Bump it whenever a change alters any
+ * simulated result (ExperimentCache.GoldenRowsPinModelVersion fails
+ * then), so rows simulated by the old model are never recalled.
+ */
+constexpr unsigned kModelVersion = 1;
+
 /** Memoizing simulation runner. */
 class ExperimentRunner
 {

@@ -1,10 +1,83 @@
 #include "metrics.hh"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstring>
 
 #include "common/log.hh"
 
 namespace mcsim {
+
+namespace {
+
+bool
+sameBits(double a, double b)
+{
+    std::uint64_t x = 0, y = 0;
+    std::memcpy(&x, &a, sizeof(x));
+    std::memcpy(&y, &b, sizeof(y));
+    return x == y;
+}
+
+bool
+sameBits(std::uint64_t a, std::uint64_t b)
+{
+    return a == b;
+}
+
+std::string
+show(double v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+std::string
+show(std::uint64_t v)
+{
+    return std::to_string(v);
+}
+
+template <typename T>
+std::string
+fieldMismatch(const char *name, const T &a, const T &b)
+{
+    if (sameBits(a, b))
+        return {};
+    return std::string(name) + ": " + show(a) + " vs " + show(b);
+}
+
+template <typename T>
+std::string
+fieldMismatch(const char *name, const std::vector<T> &a,
+              const std::vector<T> &b)
+{
+    if (a.size() != b.size()) {
+        return std::string(name) + ": " + std::to_string(a.size()) +
+               " vs " + std::to_string(b.size()) + " entries";
+    }
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        if (!sameBits(a[i], b[i])) {
+            return std::string(name) + "[" + std::to_string(i) +
+                   "]: " + show(a[i]) + " vs " + show(b[i]);
+        }
+    }
+    return {};
+}
+
+} // namespace
+
+std::string
+metricMismatch(const MetricSet &a, const MetricSet &b)
+{
+    std::string first;
+    forEachMetricField([&](const char *name, auto member) {
+        if (first.empty())
+            first = fieldMismatch(name, a.*member, b.*member);
+    });
+    return first;
+}
 
 bool
 deriveFairnessMetrics(MetricSet &shared,

@@ -14,6 +14,7 @@
 #define CLOUDMC_SIM_METRICS_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace mcsim {
@@ -26,9 +27,7 @@ struct MetricSet
     /** Mean DRAM read latency (controller arrival to last data beat),
      *  in core cycles. Figure 3's quantity. */
     double avgReadLatency = 0.0;
-    /** Read latency tail, in core cycles (log-bucket estimates).
-     *  Persisted in the experiment results cache since schema v2;
-     *  entries recalled from v1-era caches report 0 here. */
+    /** Read latency tail, in core cycles (log-bucket estimates). */
     double readLatencyP50 = 0.0;
     double readLatencyP95 = 0.0;
     double readLatencyP99 = 0.0;
@@ -47,19 +46,15 @@ struct MetricSet
      *  population the tCCD_L (rather than tCCD_S) spacing applies to.
      *  On single-group devices this degenerates to a same-rank
      *  back-to-back fraction (all of a rank's banks share the one
-     *  group). Persisted in the results cache since schema v5; older
-     *  rows report 0. */
+     *  group). */
     double sameGroupCasPct = 0.0;
     /** Activations receiving exactly one access, percent. Figure 8. */
     double singleAccessPct = 0.0;
 
-    /** Per-core IPC (for the ATLAS disparity analysis). Persisted in
-     *  the results cache since schema v4 (as a ';'-joined list);
-     *  entries recalled from older caches report an empty vector. */
+    /** Per-core IPC (for the ATLAS disparity analysis). */
     std::vector<double> perCoreIpc;
     /** Per-core committed instructions and elapsed core cycles over
-     *  the window (the numerator/denominator behind perCoreIpc).
-     *  In-memory only; not persisted in the results cache. */
+     *  the window (the numerator/denominator behind perCoreIpc). */
     std::vector<std::uint64_t> perCoreCommitted;
     std::vector<std::uint64_t> perCoreCycles;
 
@@ -82,7 +77,6 @@ struct MetricSet
      *  - maxSlowdown      = max_i S_i      (the unfairness headline)
      *
      * All zero (and perCoreSlowdown empty) when no baselines were run.
-     * Persisted in the results cache since schema v4.
      */
     std::vector<double> perCoreSlowdown;
     double weightedSpeedup = 0.0;
@@ -98,9 +92,8 @@ struct MetricSet
     double dramAvgPowerMw = 0.0;
 
     /**
-     * Stacked-backend quantities (schema v6; flat-backend rows and
-     * entries recalled from older caches report zeros / an empty
-     * list). perVaultReadQueue is the mean read-queue occupancy of
+     * Stacked-backend quantities (zeros / an empty list on flat
+     * backends). perVaultReadQueue is the mean read-queue occupancy of
      * every vault queue in global queue order; vaultQueueImbalance is
      * the hottest queue's occupancy over the all-queue mean (1.0 =
      * perfectly balanced, 0 when idle). The remap counters total the
@@ -113,14 +106,13 @@ struct MetricSet
     std::uint64_t remapMigratedRows = 0;
 
     /**
-     * Tiered-backend quantities (schema v7; non-tiered rows and
-     * entries recalled from older caches report zeros). fastTierHitPct
-     * is the percent of routed requests served by the fast tier (0
-     * when nothing was routed); slowTierReadLatencyP99 is the slow
-     * tier's read-latency tail in core cycles (0 when the slow tier
-     * served no reads); the migration counters total the window's
-     * tier migrations (tile swaps, or alloy-cache fills) and the rows
-     * they copied between tiers.
+     * Tiered-backend quantities (zeros on non-tiered backends).
+     * fastTierHitPct is the percent of routed requests served by the
+     * fast tier (0 when nothing was routed); slowTierReadLatencyP99 is
+     * the slow tier's read-latency tail in core cycles (0 when the
+     * slow tier served no reads); the migration counters total the
+     * window's tier migrations (tile swaps, or alloy-cache fills) and
+     * the rows they copied between tiers.
      */
     double fastTierHitPct = 0.0;
     double slowTierReadLatencyP99 = 0.0;
@@ -139,6 +131,61 @@ struct MetricSet
         return memReads + memWrites;
     }
 };
+
+/**
+ * The MetricSet field table: calls @p f(name, &MetricSet::member) once
+ * for every field, in a fixed order. The member is a pointer to a
+ * double, a std::uint64_t, or a std::vector of either. The results
+ * cache's row format, cache recall and metricMismatch() all derive
+ * from this table, so a new metric is declared here and nowhere else.
+ */
+template <typename F>
+void
+forEachMetricField(F &&f)
+{
+    f("user_ipc", &MetricSet::userIpc);
+    f("avg_read_latency", &MetricSet::avgReadLatency);
+    f("read_latency_p50", &MetricSet::readLatencyP50);
+    f("read_latency_p95", &MetricSet::readLatencyP95);
+    f("read_latency_p99", &MetricSet::readLatencyP99);
+    f("row_hit_rate_pct", &MetricSet::rowHitRatePct);
+    f("l2_mpki", &MetricSet::l2Mpki);
+    f("avg_read_queue", &MetricSet::avgReadQueue);
+    f("avg_write_queue", &MetricSet::avgWriteQueue);
+    f("bw_util_pct", &MetricSet::bwUtilPct);
+    f("same_group_cas_pct", &MetricSet::sameGroupCasPct);
+    f("single_access_pct", &MetricSet::singleAccessPct);
+    f("per_core_ipc", &MetricSet::perCoreIpc);
+    f("per_core_committed", &MetricSet::perCoreCommitted);
+    f("per_core_cycles", &MetricSet::perCoreCycles);
+    f("ipc_disparity", &MetricSet::ipcDisparity);
+    f("per_core_slowdown", &MetricSet::perCoreSlowdown);
+    f("weighted_speedup", &MetricSet::weightedSpeedup);
+    f("harmonic_speedup", &MetricSet::harmonicSpeedup);
+    f("max_slowdown", &MetricSet::maxSlowdown);
+    f("dram_energy_nj", &MetricSet::dramEnergyNj);
+    f("dram_avg_power_mw", &MetricSet::dramAvgPowerMw);
+    f("per_vault_read_queue", &MetricSet::perVaultReadQueue);
+    f("vault_queue_imbalance", &MetricSet::vaultQueueImbalance);
+    f("remap_migrations", &MetricSet::remapMigrations);
+    f("remap_migrated_rows", &MetricSet::remapMigratedRows);
+    f("fast_tier_hit_pct", &MetricSet::fastTierHitPct);
+    f("slow_tier_read_latency_p99", &MetricSet::slowTierReadLatencyP99);
+    f("tier_migrations", &MetricSet::tierMigrations);
+    f("tier_migrated_rows", &MetricSet::tierMigratedRows);
+    f("committed_instructions", &MetricSet::committedInstructions);
+    f("measured_cycles", &MetricSet::measuredCycles);
+    f("mem_reads", &MetricSet::memReads);
+    f("mem_writes", &MetricSet::memWrites);
+}
+
+/**
+ * The first field (in forEachMetricField order) on which @p a and @p b
+ * differ, with both values, e.g. "user_ipc: 0.5 vs 0.25"; "" when the
+ * two sets are identical. Doubles compare by bit pattern, lists by
+ * size and then element by element.
+ */
+std::string metricMismatch(const MetricSet &a, const MetricSet &b);
 
 /**
  * One alone-run baseline covering a contiguous core range of a shared

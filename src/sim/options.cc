@@ -1,79 +1,10 @@
 #include "options.hh"
 
-#include <cctype>
-#include <cstdlib>
 #include <sstream>
 
 #include "dram/devices.hh"
 
 namespace mcsim {
-
-namespace {
-
-/** Non-fatal name lookups (the factory variants are fatal-on-error). */
-
-bool
-findWorkload(const std::string &name, WorkloadId &out)
-{
-    for (auto w : kAllWorkloads) {
-        if (name == workloadAcronym(w)) {
-            out = w;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-findScheduler(const std::string &name, SchedulerKind &out)
-{
-    for (auto k : kAllSchedulers) {
-        if (name == schedulerKindName(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-findPolicy(const std::string &name, PagePolicyKind &out)
-{
-    for (auto k : kAllPagePolicies) {
-        if (name == pagePolicyKindName(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-findMapping(const std::string &name, MappingScheme &out)
-{
-    for (auto s : kExtendedMappingSchemes) {
-        if (name == mappingSchemeName(s)) {
-            out = s;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-parseUint(const std::string &text, std::uint64_t &out)
-{
-    // Digits only: strtoull would silently wrap "-1" to 2^64-1.
-    if (text.empty() ||
-        !std::isdigit(static_cast<unsigned char>(text[0]))) {
-        return false;
-    }
-    char *end = nullptr;
-    out = std::strtoull(text.c_str(), &end, 10);
-    return end && *end == '\0';
-}
-
-} // namespace
 
 std::string
 ExperimentOptions::parse(int argc, char **argv)
@@ -96,25 +27,25 @@ ExperimentOptions::parse(int argc, char **argv)
                 spec.fairness = true;
         } else if (arg == "--workload") {
             const char *v = need(i);
-            if (!v || !findWorkload(v, workload))
+            if (!v || !tryWorkloadFromName(v, workload))
                 return "unknown workload for --workload";
             if (hasSpec)
                 spec.workloads = {workload};
         } else if (arg == "--scheduler") {
             const char *v = need(i);
-            if (!v || !findScheduler(v, config.scheduler))
+            if (!v || !trySchedulerKindFromName(v, config.scheduler))
                 return "unknown scheduler for --scheduler";
             if (hasSpec)
                 spec.schedulers = {config.scheduler};
         } else if (arg == "--policy") {
             const char *v = need(i);
-            if (!v || !findPolicy(v, config.pagePolicy))
+            if (!v || !tryPagePolicyKindFromName(v, config.pagePolicy))
                 return "unknown page policy for --policy";
             if (hasSpec)
                 spec.policies = {config.pagePolicy};
         } else if (arg == "--mapping") {
             const char *v = need(i);
-            if (!v || !findMapping(v, config.mapping))
+            if (!v || !tryMappingSchemeFromName(v, config.mapping))
                 return "unknown mapping scheme for --mapping";
             if (hasSpec)
                 spec.mappings = {config.mapping};
@@ -318,7 +249,7 @@ ExperimentOptions::parse(int argc, char **argv)
             // A bare acronym selects the workload; anything else stays
             // positional for the tool to interpret.
             WorkloadId w;
-            if (findWorkload(arg, w)) {
+            if (tryWorkloadFromName(arg, w)) {
                 workload = w;
                 if (hasSpec)
                     spec.workloads = {w};

@@ -44,67 +44,6 @@ splitList(const std::string &value)
     return out;
 }
 
-bool
-parseUint(const std::string &text, std::uint64_t &out)
-{
-    // Digits only: strtoull would silently wrap "-1" to 2^64-1.
-    if (text.empty() ||
-        !std::isdigit(static_cast<unsigned char>(text[0]))) {
-        return false;
-    }
-    char *end = nullptr;
-    out = std::strtoull(text.c_str(), &end, 10);
-    return end && *end == '\0';
-}
-
-bool
-findWorkload(const std::string &name, WorkloadId &out)
-{
-    for (auto w : kAllWorkloads) {
-        if (name == workloadAcronym(w)) {
-            out = w;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-findScheduler(const std::string &name, SchedulerKind &out)
-{
-    for (auto k : kAllSchedulers) {
-        if (name == schedulerKindName(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-findPolicy(const std::string &name, PagePolicyKind &out)
-{
-    for (auto k : kAllPagePolicies) {
-        if (name == pagePolicyKindName(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-findMapping(const std::string &name, MappingScheme &out)
-{
-    for (auto s : kExtendedMappingSchemes) {
-        if (name == mappingSchemeName(s)) {
-            out = s;
-            return true;
-        }
-    }
-    return false;
-}
-
 /** Parse one list-valued axis through a per-item name lookup. */
 template <typename T, typename Lookup>
 std::string
@@ -124,6 +63,19 @@ parseAxis(const std::string &value, const char *what, Lookup lookup,
 }
 
 } // namespace
+
+bool
+parseUint(const std::string &text, std::uint64_t &out)
+{
+    // Digits only: strtoull would silently wrap "-1" to 2^64-1.
+    if (text.empty() ||
+        !std::isdigit(static_cast<unsigned char>(text[0]))) {
+        return false;
+    }
+    char *end = nullptr;
+    out = std::strtoull(text.c_str(), &end, 10);
+    return end && *end == '\0';
+}
 
 std::size_t
 ExperimentSpec::pointCount() const
@@ -248,21 +200,24 @@ parseExperimentSpec(const std::string &text, ExperimentSpec &out)
                 out.devices);
         } else if (key == "scheduler" || key == "schedulers") {
             axisErr = parseAxis<SchedulerKind>(value, "scheduler",
-                                               findScheduler,
+                                               trySchedulerKindFromName,
                                                out.schedulers);
         } else if (key == "policy" || key == "policies") {
             axisErr = parseAxis<PagePolicyKind>(value, "page policy",
-                                                findPolicy, out.policies);
+                                                tryPagePolicyKindFromName,
+                                                out.policies);
         } else if (key == "mapping" || key == "mappings") {
             axisErr = parseAxis<MappingScheme>(value, "mapping scheme",
-                                               findMapping, out.mappings);
+                                               tryMappingSchemeFromName,
+                                               out.mappings);
         } else if (key == "group_mapping" || key == "group_mappings") {
             axisErr = parseAxis<BankGroupMapping>(
                 value, "bank-group mapping",
                 tryBankGroupMappingFromName, out.groupMappings);
         } else if (key == "workload" || key == "workloads") {
             axisErr = parseAxis<WorkloadId>(value, "workload",
-                                            findWorkload, out.workloads);
+                                            tryWorkloadFromName,
+                                            out.workloads);
         } else if (key == "channels") {
             axisErr = parseAxis<std::uint32_t>(
                 value, "channel count",

@@ -135,6 +135,10 @@ std::string parseExperimentSpec(const std::string &text,
 std::string loadExperimentSpec(const std::string &path,
                                ExperimentSpec &out);
 
+/** Parse a decimal unsigned integer (digits only, no sign or
+ *  whitespace); false on anything else. */
+bool parseUint(const std::string &text, std::uint64_t &out);
+
 } // namespace mcsim
 
 #endif // CLOUDMC_SIM_SPEC_HH

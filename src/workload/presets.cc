@@ -325,6 +325,18 @@ workloadAcronym(WorkloadId id)
     return "???";
 }
 
+bool
+tryWorkloadFromName(const std::string &name, WorkloadId &out)
+{
+    for (auto w : kAllWorkloads) {
+        if (name == workloadAcronym(w)) {
+            out = w;
+            return true;
+        }
+    }
+    return false;
+}
+
 WorkloadCategory
 workloadCategory(WorkloadId id)
 {

@@ -50,6 +50,9 @@ WorkloadParams workloadPreset(WorkloadId id);
 /** Acronym used in the paper's figures (DS, MR, ...). */
 const char *workloadAcronym(WorkloadId id);
 
+/** Parse a workload acronym; false on unknown names. */
+bool tryWorkloadFromName(const std::string &name, WorkloadId &out);
+
 /** Category of a workload. */
 WorkloadCategory workloadCategory(WorkloadId id);
 

@@ -40,28 +40,6 @@ smallConfig(const char *device)
     return cfg;
 }
 
-/** Every metric must match to the last bit, not approximately. */
-void
-expectIdentical(const MetricSet &ev, const MetricSet &ref)
-{
-    EXPECT_EQ(ev.userIpc, ref.userIpc);
-    EXPECT_EQ(ev.avgReadLatency, ref.avgReadLatency);
-    EXPECT_EQ(ev.readLatencyP99, ref.readLatencyP99);
-    EXPECT_EQ(ev.rowHitRatePct, ref.rowHitRatePct);
-    EXPECT_EQ(ev.l2Mpki, ref.l2Mpki);
-    EXPECT_EQ(ev.bwUtilPct, ref.bwUtilPct);
-    EXPECT_EQ(ev.committedInstructions, ref.committedInstructions);
-    EXPECT_EQ(ev.measuredCycles, ref.measuredCycles);
-    EXPECT_EQ(ev.memReads, ref.memReads);
-    EXPECT_EQ(ev.memWrites, ref.memWrites);
-    ASSERT_EQ(ev.perCoreIpc.size(), ref.perCoreIpc.size());
-    for (std::size_t i = 0; i < ev.perCoreIpc.size(); ++i) {
-        EXPECT_EQ(ev.perCoreIpc[i], ref.perCoreIpc[i]);
-        EXPECT_EQ(ev.perCoreCommitted[i], ref.perCoreCommitted[i]);
-        EXPECT_EQ(ev.perCoreCycles[i], ref.perCoreCycles[i]);
-    }
-}
-
 struct TraceEntry
 {
     DramCommandType type;
@@ -106,7 +84,7 @@ expectEquivalent(const SimConfig &cfg, WorkloadId wl)
     const TracedRun ev = runTraced(cfg, wl, false);
     const TracedRun ref = runTraced(cfg, wl, true);
     EXPECT_EQ(ev.end, ref.end);
-    expectIdentical(ev.metrics, ref.metrics);
+    EXPECT_EQ(metricMismatch(ev.metrics, ref.metrics), "");
     EXPECT_EQ(ev.trace.size(), ref.trace.size());
     const std::size_t n = std::min(ev.trace.size(), ref.trace.size());
     for (std::size_t i = 0; i < n; ++i) {
@@ -196,13 +174,13 @@ TEST_P(BatchBoundary, WindowEndClampsBatches)
         ev.advance(chunk);
         ref.advance(chunk);
         ASSERT_EQ(ev.now(), ref.now());
-        expectIdentical(ev.collect(), ref.collect());
+        EXPECT_EQ(metricMismatch(ev.collect(), ref.collect()), "");
     }
     ev.resetStats();
     ref.resetStats();
     ev.advance(50'000);
     ref.advance(50'000);
-    expectIdentical(ev.collect(), ref.collect());
+    EXPECT_EQ(metricMismatch(ev.collect(), ref.collect()), "");
     EXPECT_GT(ev.kernelStats().coreCyclesBatched, 0u);
 }
 

@@ -32,34 +32,6 @@ smallConfig()
     return cfg;
 }
 
-/** Every metric must match to the last bit, not approximately. */
-void
-expectIdentical(const MetricSet &ev, const MetricSet &ref)
-{
-    EXPECT_EQ(ev.userIpc, ref.userIpc);
-    EXPECT_EQ(ev.avgReadLatency, ref.avgReadLatency);
-    EXPECT_EQ(ev.readLatencyP50, ref.readLatencyP50);
-    EXPECT_EQ(ev.readLatencyP95, ref.readLatencyP95);
-    EXPECT_EQ(ev.readLatencyP99, ref.readLatencyP99);
-    EXPECT_EQ(ev.rowHitRatePct, ref.rowHitRatePct);
-    EXPECT_EQ(ev.l2Mpki, ref.l2Mpki);
-    EXPECT_EQ(ev.avgReadQueue, ref.avgReadQueue);
-    EXPECT_EQ(ev.avgWriteQueue, ref.avgWriteQueue);
-    EXPECT_EQ(ev.bwUtilPct, ref.bwUtilPct);
-    EXPECT_EQ(ev.singleAccessPct, ref.singleAccessPct);
-    EXPECT_EQ(ev.sameGroupCasPct, ref.sameGroupCasPct);
-    EXPECT_EQ(ev.ipcDisparity, ref.ipcDisparity);
-    EXPECT_EQ(ev.dramEnergyNj, ref.dramEnergyNj);
-    EXPECT_EQ(ev.dramAvgPowerMw, ref.dramAvgPowerMw);
-    EXPECT_EQ(ev.committedInstructions, ref.committedInstructions);
-    EXPECT_EQ(ev.measuredCycles, ref.measuredCycles);
-    EXPECT_EQ(ev.memReads, ref.memReads);
-    EXPECT_EQ(ev.memWrites, ref.memWrites);
-    ASSERT_EQ(ev.perCoreIpc.size(), ref.perCoreIpc.size());
-    for (std::size_t i = 0; i < ev.perCoreIpc.size(); ++i)
-        EXPECT_EQ(ev.perCoreIpc[i], ref.perCoreIpc[i]);
-}
-
 void
 runBothAndCompare(const SimConfig &cfg, WorkloadId wl)
 {
@@ -68,7 +40,7 @@ runBothAndCompare(const SimConfig &cfg, WorkloadId wl)
     ref.useReferenceKernel(true);
     const MetricSet me = ev.run();
     const MetricSet mr = ref.run();
-    expectIdentical(me, mr);
+    EXPECT_EQ(metricMismatch(me, mr), "");
     EXPECT_EQ(ev.now(), ref.now());
 }
 
@@ -211,7 +183,7 @@ TEST(EventKernel, IncrementalAdvanceMatches)
     ref.resetStats();
     ev.advance(40'000);
     ref.advance(40'000);
-    expectIdentical(ev.collect(), ref.collect());
+    EXPECT_EQ(metricMismatch(ev.collect(), ref.collect()), "");
 }
 
 /**

@@ -3,14 +3,17 @@
  * Experiment harness robustness: the on-disk results cache must
  * survive corruption, format drift and concurrent-ish appends without
  * ever returning garbage — a corrupt row re-simulates, it never
- * poisons a figure.
+ * poisons a figure — and a recalled row must equal the fresh run bit
+ * for bit.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -39,6 +42,95 @@ tinyConfig()
     return cfg;
 }
 
+/** Unsets CLOUDMC_FAST for its lifetime: the runner divides the
+ *  windows by it and every key carries it. */
+class FastEnvGuard
+{
+  public:
+    FastEnvGuard()
+    {
+        const char *v = std::getenv("CLOUDMC_FAST");
+        saved_ = v ? v : "";
+        unsetenv("CLOUDMC_FAST");
+    }
+    ~FastEnvGuard()
+    {
+        if (!saved_.empty())
+            setenv("CLOUDMC_FAST", saved_.c_str(), 1);
+    }
+
+  private:
+    std::string saved_;
+};
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+void
+writeFile(const std::string &path, const std::string &text)
+{
+    std::ofstream out(path);
+    out << text;
+}
+
+/** Runs @p points into a fresh cache at @p tag, then requires a
+ *  second runner over that cache to recall every point bit-identically
+ *  (all MetricSet fields, the per-core lists included) without
+ *  simulating anything. Returns the fresh results. */
+std::vector<MetricSet>
+expectExactRecall(const char *tag,
+                  const std::vector<ExperimentRunner::Point> &points)
+{
+    const std::string path = tempCachePath(tag);
+    std::remove(path.c_str());
+    std::vector<MetricSet> fresh;
+    {
+        ExperimentRunner runner(path);
+        fresh = runner.runAll(points, 2);
+    }
+    ExperimentRunner runner(path);
+    const auto recalled = runner.runAll(points, 2);
+    EXPECT_EQ(runner.simulationsRun(), 0u);
+    // Alone-run baselines recall as hits of their own.
+    EXPECT_GE(runner.cacheHits(), points.size());
+    EXPECT_EQ(recalled.size(), points.size());
+    for (std::size_t i = 0; i < points.size() && i < recalled.size();
+         ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_FALSE(fresh[i].perCoreCommitted.empty());
+        EXPECT_EQ(metricMismatch(fresh[i], recalled[i]), "");
+    }
+    std::remove(path.c_str());
+    return fresh;
+}
+
+SimConfig
+stackedRemapConfig()
+{
+    SimConfig cfg = tinyConfig();
+    cfg.applyDevice(dramDeviceOrDie("HMC2-8GB"));
+    cfg.setVaults(4);
+    cfg.remap.enabled = true;
+    cfg.remap.windowAccesses = 256; // Migrate within the tiny window.
+    return cfg;
+}
+
+SimConfig
+tieredHotnessConfig()
+{
+    SimConfig cfg = tinyConfig();
+    cfg.tier.enabled = true;
+    cfg.tier.policy = TierPolicy::HotnessBased;
+    cfg.tier.monitorWindowSamples = 64; // Migrate within a tiny run.
+    return cfg;
+}
+
 } // namespace
 
 TEST(ExperimentCache, CorruptLinesAreIgnored)
@@ -62,100 +154,65 @@ TEST(ExperimentCache, CorruptLinesAreIgnored)
 
 TEST(ExperimentCache, OldFormatRowsResimulate)
 {
-    // A row with the key of a current configuration but too few value
-    // fields (a pre-energy-model cache) must be dropped, not half-read.
+    // A positional row (bare comma-separated values, as caches written
+    // before the name=value format hold) under the key of a current
+    // configuration must be dropped, not half-read.
     const std::string path = tempCachePath("oldformat");
     const SimConfig cfg = tinyConfig();
     const std::string key = ExperimentRunner::configKey(WorkloadId::WS, cfg);
-    {
-        std::ofstream out(path);
-        out << key << ",1.5,100,30,5,1,10,20,80,1000,2000,30,40\n";
-    }
+    writeFile(path, key + ",1.5,100,30,5,1,2,10,20,1000,2000,30,40,0.9,"
+                          "5000,120,55,77,99,1.1,1.2,1.3,,,42.5,0.25,3,7,"
+                          ",50,300,2,8\n");
     ExperimentRunner runner(path);
     (void)runner.run(WorkloadId::WS, cfg);
     EXPECT_EQ(runner.simulationsRun(), 1u);
+    EXPECT_EQ(runner.cacheHits(), 0u);
     std::remove(path.c_str());
 }
 
-TEST(ExperimentCache, EnergyFieldsRoundtrip)
+TEST(ExperimentCache, RowsWithBadFieldsResimulate)
 {
-    const std::string path = tempCachePath("energy");
+    // Start from a real row and break it one way at a time: each
+    // broken row must be rejected whole and its point re-simulated.
+    const std::string path = tempCachePath("badfields");
     std::remove(path.c_str());
     const SimConfig cfg = tinyConfig();
-    MetricSet fresh;
     {
         ExperimentRunner runner(path);
-        fresh = runner.run(WorkloadId::MS, cfg);
-        EXPECT_GT(fresh.dramEnergyNj, 0.0);
-        EXPECT_GT(fresh.dramAvgPowerMw, 0.0);
-        EXPECT_GT(fresh.ipcDisparity, 0.0);
-        EXPECT_LE(fresh.ipcDisparity, 1.0);
+        (void)runner.run(WorkloadId::WS, cfg);
     }
-    {
-        ExperimentRunner runner(path);
-        const MetricSet cached = runner.run(WorkloadId::MS, cfg);
-        EXPECT_EQ(runner.simulationsRun(), 0u);
-        // The CSV stores ~6 significant digits; compare relatively.
-        EXPECT_NEAR(cached.dramEnergyNj, fresh.dramEnergyNj,
-                    1e-5 * fresh.dramEnergyNj);
-        EXPECT_NEAR(cached.dramAvgPowerMw, fresh.dramAvgPowerMw,
-                    1e-5 * fresh.dramAvgPowerMw);
-        EXPECT_NEAR(cached.ipcDisparity, fresh.ipcDisparity, 1e-5);
-    }
-    std::remove(path.c_str());
-}
+    std::string row = readFile(path);
+    ASSERT_FALSE(row.empty());
+    ASSERT_EQ(row.back(), '\n');
+    row.pop_back();
+    const std::size_t last = row.rfind(',');
+    const std::size_t ipc = row.find(",user_ipc=");
+    ASSERT_NE(ipc, std::string::npos);
+    const std::size_t ipcEnd = row.find(',', ipc + 1);
 
-TEST(ExperimentCache, LatencyPercentilesRoundtrip)
-{
-    // Schema v2 persists the read-latency percentiles; a reloaded
-    // entry must carry them instead of silently reporting 0.
-    const std::string path = tempCachePath("percentiles");
-    std::remove(path.c_str());
-    const SimConfig cfg = tinyConfig();
-    MetricSet fresh;
-    {
-        ExperimentRunner runner(path);
-        fresh = runner.run(WorkloadId::DS, cfg);
-        EXPECT_GT(fresh.readLatencyP50, 0.0);
-        EXPECT_GE(fresh.readLatencyP95, fresh.readLatencyP50);
-        EXPECT_GE(fresh.readLatencyP99, fresh.readLatencyP95);
-    }
-    {
-        ExperimentRunner runner(path);
-        const MetricSet cached = runner.run(WorkloadId::DS, cfg);
-        EXPECT_EQ(runner.simulationsRun(), 0u);
-        EXPECT_NEAR(cached.readLatencyP50, fresh.readLatencyP50,
-                    1e-5 * fresh.readLatencyP50);
-        EXPECT_NEAR(cached.readLatencyP95, fresh.readLatencyP95,
-                    1e-5 * fresh.readLatencyP95);
-        EXPECT_NEAR(cached.readLatencyP99, fresh.readLatencyP99,
-                    1e-5 * fresh.readLatencyP99);
-    }
-    std::remove(path.c_str());
-}
+    std::string unparseable = row;
+    unparseable.insert(ipcEnd, "x");
+    std::string renamed = row;
+    renamed.replace(ipc + 1, 4, "USER");
+    const std::string missing = row.substr(0, last);
+    const std::string extra = row + ",bogus_field=1";
+    const std::string reordered =
+        row.substr(0, ipc) + row.substr(ipcEnd) +
+        row.substr(ipc, ipcEnd - ipc);
 
-TEST(ExperimentCache, V1RowsStillLoadWithZeroPercentiles)
-{
-    // Pre-percentile (15-field) rows remain valid cache entries; only
-    // the percentile fields default to 0.
-    const std::string path = tempCachePath("v1row");
-    const SimConfig cfg = tinyConfig();
-    const std::string key =
-        ExperimentRunner::configKey(WorkloadId::WS, cfg);
-    {
-        std::ofstream out(path);
-        out << key
-            << ",1.5,100,30,5,1,2,10,20,1000,2000,30,40,0.9,5000,120\n";
+    for (const std::string &bad :
+         {unparseable, renamed, missing, extra, reordered}) {
+        SCOPED_TRACE(bad);
+        writeFile(path, bad + "\n");
+        ExperimentRunner runner(path);
+        (void)runner.run(WorkloadId::WS, cfg);
+        EXPECT_EQ(runner.simulationsRun(), 1u);
     }
+    // The intact row itself recalls.
+    writeFile(path, row + "\n");
     ExperimentRunner runner(path);
-    const MetricSet m = runner.run(WorkloadId::WS, cfg);
+    (void)runner.run(WorkloadId::WS, cfg);
     EXPECT_EQ(runner.simulationsRun(), 0u);
-    EXPECT_EQ(runner.cacheHits(), 1u);
-    EXPECT_DOUBLE_EQ(m.userIpc, 1.5);
-    EXPECT_DOUBLE_EQ(m.dramAvgPowerMw, 120.0);
-    EXPECT_DOUBLE_EQ(m.readLatencyP50, 0.0);
-    EXPECT_DOUBLE_EQ(m.readLatencyP95, 0.0);
-    EXPECT_DOUBLE_EQ(m.readLatencyP99, 0.0);
     std::remove(path.c_str());
 }
 
@@ -166,10 +223,7 @@ TEST(ExperimentParallel, CustomGeneratorPointsRunUncached)
     // memoized, and their results match a direct System run. The
     // runner scales windows by CLOUDMC_FAST but the direct System
     // does not, so pin the divisor for the comparison.
-    const char *fastEnv = std::getenv("CLOUDMC_FAST");
-    const std::string savedFast = fastEnv ? fastEnv : "";
-    unsetenv("CLOUDMC_FAST");
-
+    FastEnvGuard guard;
     ExperimentRunner runner("-");
     ExperimentRunner::Point p;
     p.cfg = tinyConfig();
@@ -187,12 +241,101 @@ TEST(ExperimentParallel, CustomGeneratorPointsRunUncached)
     SyntheticWorkload gen(workloadPreset(WorkloadId::WS), 8ull << 30);
     System direct(cfg, gen, p.customCores);
     const MetricSet md = direct.run();
-    EXPECT_EQ(batch[0].committedInstructions, md.committedInstructions);
-    EXPECT_EQ(batch[0].memReads, md.memReads);
-    EXPECT_EQ(batch[1].committedInstructions, md.committedInstructions);
+    EXPECT_EQ(metricMismatch(batch[0], md), "");
+    EXPECT_EQ(metricMismatch(batch[1], md), "");
+}
 
-    if (!savedFast.empty())
-        setenv("CLOUDMC_FAST", savedFast.c_str(), 1);
+TEST(ExperimentCache, RecallIsExact)
+{
+    // One batch mixing every kind of point recalls exactly.
+    FastEnvGuard guard;
+    const SimConfig cfg = tinyConfig();
+    ExperimentRunner::Point fair(WorkloadId::MS, cfg);
+    ExperimentRunner::attachAloneBaseline(fair);
+    const std::vector<MixPart> parts = {{WorkloadId::WS, 2},
+                                        {WorkloadId::TPCHQ6, 2}};
+    const ExperimentRunner::Point mix =
+        ExperimentRunner::mixedFairnessPoint(parts, cfg, 16ull << 30);
+    const std::vector<MetricSet> fresh = expectExactRecall(
+        "recall", {fair, mix, {WorkloadId::WS, stackedRemapConfig()},
+                   {WorkloadId::DS, tieredHotnessConfig()}});
+    ASSERT_EQ(fresh.size(), 4u);
+    EXPECT_TRUE(fresh[0].hasFairness());
+    EXPECT_TRUE(fresh[1].hasFairness());
+    EXPECT_EQ(fresh[2].perVaultReadQueue.size(), 4u);
+    EXPECT_GT(fresh[3].fastTierHitPct, 0.0);
+}
+
+TEST(ExperimentCache, EnergyFieldsRoundtrip)
+{
+    FastEnvGuard guard;
+    const auto fresh =
+        expectExactRecall("energy", {{WorkloadId::MS, tinyConfig()}});
+    ASSERT_EQ(fresh.size(), 1u);
+    EXPECT_GT(fresh[0].dramEnergyNj, 0.0);
+    EXPECT_GT(fresh[0].dramAvgPowerMw, 0.0);
+    EXPECT_GT(fresh[0].ipcDisparity, 0.0);
+    EXPECT_LE(fresh[0].ipcDisparity, 1.0);
+}
+
+TEST(ExperimentCache, LatencyPercentilesRoundtrip)
+{
+    FastEnvGuard guard;
+    const auto fresh = expectExactRecall(
+        "percentiles", {{WorkloadId::DS, tinyConfig()}});
+    ASSERT_EQ(fresh.size(), 1u);
+    EXPECT_GT(fresh[0].readLatencyP50, 0.0);
+    EXPECT_GE(fresh[0].readLatencyP95, fresh[0].readLatencyP50);
+    EXPECT_GE(fresh[0].readLatencyP99, fresh[0].readLatencyP95);
+}
+
+TEST(ExperimentCache, FairnessColumnsRoundtrip)
+{
+    // The fairness scalars, the per-core IPC / slowdown lists and the
+    // alone-run baselines all recall.
+    FastEnvGuard guard;
+    ExperimentRunner::Point p(WorkloadId::WS, tinyConfig());
+    ExperimentRunner::attachAloneBaseline(p);
+    const auto fresh = expectExactRecall("fairness", {p});
+    ASSERT_EQ(fresh.size(), 1u);
+    EXPECT_TRUE(fresh[0].hasFairness());
+    EXPECT_FALSE(fresh[0].perCoreSlowdown.empty());
+}
+
+TEST(ExperimentCache, SameGroupCasColumnRoundtrips)
+{
+    // Single-group baseline: every CAS follows a CAS in the only
+    // group, so the value is large and nonzero.
+    FastEnvGuard guard;
+    const auto fresh =
+        expectExactRecall("samegroup", {{WorkloadId::WS, tinyConfig()}});
+    ASSERT_EQ(fresh.size(), 1u);
+    EXPECT_GT(fresh[0].sameGroupCasPct, 0.0);
+}
+
+TEST(ExperimentCache, StackedColumnsRoundtrip)
+{
+    // The per-vault occupancy list, the imbalance scalar and the
+    // remap counters recall.
+    FastEnvGuard guard;
+    const auto fresh = expectExactRecall(
+        "stacked", {{WorkloadId::WS, stackedRemapConfig()}});
+    ASSERT_EQ(fresh.size(), 1u);
+    EXPECT_EQ(fresh[0].perVaultReadQueue.size(), 4u);
+    EXPECT_GT(fresh[0].vaultQueueImbalance, 0.0);
+}
+
+TEST(ExperimentCache, TierColumnsRoundtrip)
+{
+    // The tier hit fraction, the slow-tier p99 and the migration
+    // counters recall.
+    FastEnvGuard guard;
+    const auto fresh = expectExactRecall(
+        "tier", {{WorkloadId::WS, tieredHotnessConfig()}});
+    ASSERT_EQ(fresh.size(), 1u);
+    EXPECT_GT(fresh[0].fastTierHitPct, 0.0);
+    EXPECT_LT(fresh[0].fastTierHitPct, 100.0);
+    EXPECT_GT(fresh[0].slowTierReadLatencyP99, 0.0);
 }
 
 TEST(ExperimentCache, MissingFileStartsEmpty)
@@ -205,31 +348,6 @@ TEST(ExperimentCache, MissingFileStartsEmpty)
 }
 
 namespace {
-
-/** Field-by-field equality, including the per-core vector. */
-void
-expectIdentical(const MetricSet &a, const MetricSet &b)
-{
-    EXPECT_EQ(a.userIpc, b.userIpc);
-    EXPECT_EQ(a.avgReadLatency, b.avgReadLatency);
-    EXPECT_EQ(a.readLatencyP50, b.readLatencyP50);
-    EXPECT_EQ(a.readLatencyP95, b.readLatencyP95);
-    EXPECT_EQ(a.readLatencyP99, b.readLatencyP99);
-    EXPECT_EQ(a.rowHitRatePct, b.rowHitRatePct);
-    EXPECT_EQ(a.l2Mpki, b.l2Mpki);
-    EXPECT_EQ(a.avgReadQueue, b.avgReadQueue);
-    EXPECT_EQ(a.avgWriteQueue, b.avgWriteQueue);
-    EXPECT_EQ(a.bwUtilPct, b.bwUtilPct);
-    EXPECT_EQ(a.singleAccessPct, b.singleAccessPct);
-    EXPECT_EQ(a.perCoreIpc, b.perCoreIpc);
-    EXPECT_EQ(a.ipcDisparity, b.ipcDisparity);
-    EXPECT_EQ(a.dramEnergyNj, b.dramEnergyNj);
-    EXPECT_EQ(a.dramAvgPowerMw, b.dramAvgPowerMw);
-    EXPECT_EQ(a.committedInstructions, b.committedInstructions);
-    EXPECT_EQ(a.measuredCycles, b.measuredCycles);
-    EXPECT_EQ(a.memReads, b.memReads);
-    EXPECT_EQ(a.memWrites, b.memWrites);
-}
 
 /** A 2-scheduler x 2-workload sweep of tiny simulation points. */
 std::vector<ExperimentRunner::Point>
@@ -271,7 +389,7 @@ TEST(ExperimentParallel, RunAllMatchesSerialLoop)
         ASSERT_EQ(got.size(), expected.size());
         for (std::size_t i = 0; i < got.size(); ++i) {
             SCOPED_TRACE(i);
-            expectIdentical(got[i], expected[i]);
+            EXPECT_EQ(metricMismatch(got[i], expected[i]), "");
         }
         EXPECT_EQ(parallel.simulationsRun(), points.size());
         EXPECT_EQ(parallel.cacheHits(), 0u);
@@ -320,7 +438,7 @@ TEST(ExperimentParallel, CountersConsistentUnderConcurrency)
         EXPECT_EQ(runner.cacheHits(), sweep.size());
         for (std::size_t i = 0; i < sweep.size(); ++i) {
             SCOPED_TRACE(i);
-            expectIdentical(got[i], got[i + sweep.size()]);
+            EXPECT_EQ(metricMismatch(got[i], got[i + sweep.size()]), "");
         }
     }
 
@@ -374,7 +492,7 @@ TEST(ExperimentParallel, SingleThreadAndZeroThreadsStillWork)
     ASSERT_EQ(b.size(), points.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         SCOPED_TRACE(i);
-        expectIdentical(a[i], b[i]);
+        EXPECT_EQ(metricMismatch(a[i], b[i]), "");
     }
 }
 
@@ -436,84 +554,10 @@ TEST(ExperimentCache, KeyFingerprintsFullParameterSet)
                                               SimConfig::baseline()));
 }
 
-TEST(ExperimentCache, PreParamsHashKeysMigrateToBaselineRow)
-{
-    // Schema v1-v3 keys lack the trailing parameter-hash segment; on
-    // load they migrate to the baseline parameter set's fingerprint
-    // (the only set the old benches could cache unambiguously) and
-    // still satisfy a baseline-parameter lookup — but never one with
-    // tuned parameters.
-    const std::string path = tempCachePath("paramsmigrate");
-    const SimConfig cfg = tinyConfig();
-    std::string key = ExperimentRunner::configKey(WorkloadId::WS, cfg);
-    const std::size_t tag = key.rfind("|p");
-    ASSERT_NE(tag, std::string::npos);
-    key.resize(tag); // Strip the v4 segment: a v3-format key.
-    {
-        std::ofstream out(path);
-        out << key
-            << ",1.5,100,30,5,1,2,10,20,1000,2000,30,40,0.9,5000,120,"
-               "55,77,99\n";
-    }
-    ExperimentRunner runner(path);
-    const MetricSet hit = runner.run(WorkloadId::WS, cfg);
-    EXPECT_EQ(runner.simulationsRun(), 0u);
-    EXPECT_EQ(runner.cacheHits(), 1u);
-    EXPECT_DOUBLE_EQ(hit.userIpc, 1.5);
-    EXPECT_DOUBLE_EQ(hit.readLatencyP99, 99.0);
-
-    // Tuned parameters miss the migrated row and re-simulate.
-    SimConfig tuned = cfg;
-    tuned.schedulerParams.stfm.alpha = 5.0;
-    (void)runner.run(WorkloadId::WS, tuned);
-    EXPECT_EQ(runner.simulationsRun(), 1u);
-    std::remove(path.c_str());
-}
-
-TEST(ExperimentCache, FairnessColumnsRoundtrip)
-{
-    // Schema v4 rows carry the fairness scalars and the per-core IPC /
-    // slowdown lists; a reloaded entry must reproduce them.
-    const std::string path = tempCachePath("v4roundtrip");
-    std::remove(path.c_str());
-    SimConfig cfg = tinyConfig();
-    ExperimentRunner::Point p(WorkloadId::WS, cfg);
-    ExperimentRunner::attachAloneBaseline(p);
-
-    MetricSet fresh;
-    {
-        ExperimentRunner runner(path);
-        fresh = runner.runAll({p}, 1).front();
-        ASSERT_TRUE(fresh.hasFairness());
-    }
-    {
-        ExperimentRunner runner(path);
-        const MetricSet cached = runner.runAll({p}, 1).front();
-        EXPECT_EQ(runner.simulationsRun(), 0u);
-        ASSERT_EQ(cached.perCoreIpc.size(), fresh.perCoreIpc.size());
-        ASSERT_EQ(cached.perCoreSlowdown.size(),
-                  fresh.perCoreSlowdown.size());
-        for (std::size_t c = 0; c < fresh.perCoreIpc.size(); ++c) {
-            EXPECT_NEAR(cached.perCoreIpc[c], fresh.perCoreIpc[c],
-                        1e-5 * fresh.perCoreIpc[c]);
-            EXPECT_NEAR(cached.perCoreSlowdown[c],
-                        fresh.perCoreSlowdown[c],
-                        1e-5 * fresh.perCoreSlowdown[c]);
-        }
-        EXPECT_NEAR(cached.weightedSpeedup, fresh.weightedSpeedup,
-                    1e-5 * fresh.weightedSpeedup);
-        EXPECT_NEAR(cached.harmonicSpeedup, fresh.harmonicSpeedup,
-                    1e-5 * fresh.harmonicSpeedup);
-        EXPECT_NEAR(cached.maxSlowdown, fresh.maxSlowdown,
-                    1e-5 * fresh.maxSlowdown);
-    }
-    std::remove(path.c_str());
-}
-
 TEST(ExperimentCache, KeySeparatesBankGroupAxes)
 {
-    // Schema v5: the bank-group count and the group-mapping option are
-    // part of the key, so a grouped-timing run can never alias a row
+    // The bank-group count and the group-mapping option are part of
+    // the key, so a grouped-timing run can never alias a row
     // simulated under the single-tCCD model or the other placement.
     const SimConfig base = SimConfig::baseline();
     SimConfig ddr4 = base;
@@ -542,70 +586,9 @@ TEST(ExperimentCache, KeySeparatesBankGroupAxes)
                                               basePacked));
 }
 
-TEST(ExperimentCache, V4KeysMigrateToSingleGroupFingerprint)
-{
-    // A v4-format row — key with device + params-hash segments but no
-    // bank-group segment, 23 value columns — must load, satisfy a
-    // baseline (single-group) lookup with sameGroupCasPct zeroed, and
-    // never satisfy a grouped-device lookup.
-    const std::string path = tempCachePath("v4migrate");
-    const SimConfig cfg = tinyConfig();
-    std::string key = ExperimentRunner::configKey(WorkloadId::WS, cfg);
-    const std::size_t bg = key.find("|bg=1i");
-    ASSERT_NE(bg, std::string::npos);
-    key.erase(bg, 6); // Strip the v5 segment...
-    const std::size_t be = key.find("|be=flat");
-    ASSERT_NE(be, std::string::npos);
-    key.erase(be, 8); // ...and the v6 segment: a v4-format key.
-    {
-        std::ofstream out(path);
-        out << key
-            << ",1.5,100,30,5,1,2,10,20,1000,2000,30,40,0.9,5000,120,"
-               "55,77,99,1.1,1.2,1.3,,\n";
-    }
-    ExperimentRunner runner(path);
-    const MetricSet hit = runner.run(WorkloadId::WS, cfg);
-    EXPECT_EQ(runner.simulationsRun(), 0u);
-    EXPECT_EQ(runner.cacheHits(), 1u);
-    EXPECT_DOUBLE_EQ(hit.userIpc, 1.5);
-    EXPECT_DOUBLE_EQ(hit.weightedSpeedup, 1.1);
-    EXPECT_DOUBLE_EQ(hit.sameGroupCasPct, 0.0); // Pre-v5 column.
-
-    // The same point on a grouped device misses and re-simulates.
-    SimConfig ddr4 = cfg;
-    ddr4.applyDevice(dramDeviceOrDie("DDR4-2400"));
-    (void)runner.run(WorkloadId::WS, ddr4);
-    EXPECT_EQ(runner.simulationsRun(), 1u);
-    std::remove(path.c_str());
-}
-
-TEST(ExperimentCache, SameGroupCasColumnRoundtrips)
-{
-    // Schema v5 rows persist sameGroupCasPct; a reloaded entry must
-    // reproduce it (single-group baseline: every CAS follows a CAS in
-    // the only group, so the value is large and nonzero).
-    const std::string path = tempCachePath("v5roundtrip");
-    std::remove(path.c_str());
-    const SimConfig cfg = tinyConfig();
-    MetricSet fresh;
-    {
-        ExperimentRunner runner(path);
-        fresh = runner.run(WorkloadId::WS, cfg);
-        EXPECT_GT(fresh.sameGroupCasPct, 0.0);
-    }
-    {
-        ExperimentRunner runner(path);
-        const MetricSet cached = runner.run(WorkloadId::WS, cfg);
-        EXPECT_EQ(runner.simulationsRun(), 0u);
-        EXPECT_NEAR(cached.sameGroupCasPct, fresh.sameGroupCasPct,
-                    1e-4 * fresh.sameGroupCasPct);
-    }
-    std::remove(path.c_str());
-}
-
 TEST(ExperimentCache, KeySeparatesBackends)
 {
-    // Schema v6: the memory backend (and, stacked, the vault geometry
+    // The memory backend (and, stacked, the vault geometry
     // plus the remap flag) is part of the key, so a stacked-backend
     // run can never alias a row simulated under the flat JEDEC model.
     const SimConfig base = SimConfig::baseline();
@@ -640,86 +623,10 @@ TEST(ExperimentCache, KeySeparatesBackends)
     EXPECT_EQ(kb, ExperimentRunner::configKey(WorkloadId::DS, flatTuned));
 }
 
-TEST(ExperimentCache, V5KeysMigrateToFlatFingerprint)
-{
-    // A v5-format row — key without the backend segment, 24 value
-    // columns — must load, satisfy a flat-backend lookup with the
-    // stacked columns zeroed, and never satisfy a stacked lookup.
-    const std::string path = tempCachePath("v5migrate");
-    const SimConfig cfg = tinyConfig();
-    std::string key = ExperimentRunner::configKey(WorkloadId::WS, cfg);
-    const std::size_t be = key.find("|be=flat");
-    ASSERT_NE(be, std::string::npos);
-    key.erase(be, 8); // Strip the v6 segment: a v5-format key.
-    {
-        std::ofstream out(path);
-        out << key
-            << ",1.5,100,30,5,1,2,10,20,1000,2000,30,40,0.9,5000,120,"
-               "55,77,99,1.1,1.2,1.3,,,42.5\n";
-    }
-    ExperimentRunner runner(path);
-    const MetricSet hit = runner.run(WorkloadId::WS, cfg);
-    EXPECT_EQ(runner.simulationsRun(), 0u);
-    EXPECT_EQ(runner.cacheHits(), 1u);
-    EXPECT_DOUBLE_EQ(hit.userIpc, 1.5);
-    EXPECT_DOUBLE_EQ(hit.sameGroupCasPct, 42.5);
-    // Pre-v6 columns default to empty/zero.
-    EXPECT_TRUE(hit.perVaultReadQueue.empty());
-    EXPECT_EQ(hit.remapMigrations, 0u);
-    EXPECT_DOUBLE_EQ(hit.vaultQueueImbalance, 0.0);
-
-    // The same point on the stacked backend misses and re-simulates.
-    SimConfig hmc = cfg;
-    hmc.applyDevice(dramDeviceOrDie("HMC2-8GB"));
-    hmc.setVaults(4);
-    (void)runner.run(WorkloadId::WS, hmc);
-    EXPECT_EQ(runner.simulationsRun(), 1u);
-    std::remove(path.c_str());
-}
-
-TEST(ExperimentCache, StackedColumnsRoundtrip)
-{
-    // Schema v6 rows persist the per-vault occupancy list, the
-    // imbalance scalar and the remap counters; a reloaded stacked row
-    // must reproduce all of them.
-    const std::string path = tempCachePath("v6roundtrip");
-    std::remove(path.c_str());
-    SimConfig cfg = tinyConfig();
-    cfg.applyDevice(dramDeviceOrDie("HMC2-8GB"));
-    cfg.setVaults(4);
-    cfg.remap.enabled = true;
-    cfg.remap.windowAccesses = 256; // Migrate within the tiny window.
-    MetricSet fresh;
-    {
-        ExperimentRunner runner(path);
-        fresh = runner.run(WorkloadId::WS, cfg);
-        EXPECT_EQ(fresh.perVaultReadQueue.size(), 4u);
-        EXPECT_GT(fresh.vaultQueueImbalance, 0.0);
-    }
-    {
-        ExperimentRunner runner(path);
-        const MetricSet cached = runner.run(WorkloadId::WS, cfg);
-        EXPECT_EQ(runner.simulationsRun(), 0u);
-        EXPECT_EQ(runner.cacheHits(), 1u);
-        EXPECT_NEAR(cached.vaultQueueImbalance, fresh.vaultQueueImbalance,
-                    1e-5 * fresh.vaultQueueImbalance);
-        EXPECT_EQ(cached.remapMigrations, fresh.remapMigrations);
-        EXPECT_EQ(cached.remapMigratedRows, fresh.remapMigratedRows);
-        ASSERT_EQ(cached.perVaultReadQueue.size(),
-                  fresh.perVaultReadQueue.size());
-        for (std::size_t i = 0; i < fresh.perVaultReadQueue.size(); ++i) {
-            EXPECT_NEAR(cached.perVaultReadQueue[i],
-                        fresh.perVaultReadQueue[i],
-                        1e-5 * fresh.perVaultReadQueue[i] + 1e-9);
-        }
-    }
-    std::remove(path.c_str());
-}
-
 TEST(ExperimentCache, KeySeparatesDevicesAndClocks)
 {
-    // Schema v3: two devices (or two core clocks) must never alias to
-    // one cached row — before the device axis existed they would have.
+    // Two devices (or two core clocks) must never alias to one
+    // cached row.
     const SimConfig base = SimConfig::baseline();
     SimConfig ddr4 = base;
     ddr4.applyDevice(dramDeviceOrDie("DDR4-2400"));
@@ -738,104 +645,9 @@ TEST(ExperimentCache, KeySeparatesDevicesAndClocks)
     EXPECT_NE(kb.find("dev=DDR3-1600@2000:800"), std::string::npos);
 }
 
-TEST(ExperimentCache, LegacyKeysLoadAsBaselineDevice)
-{
-    // v1/v2-era rows had no device segment; everything they recorded
-    // ran the DDR3-1600 baseline, so they migrate to that key instead
-    // of being dropped — and never satisfy a different device.
-    const std::string path = tempCachePath("legacykey");
-    const SimConfig cfg = tinyConfig();
-    std::string key = ExperimentRunner::configKey(WorkloadId::WS, cfg);
-    const std::size_t tag = key.find("|dev=");
-    ASSERT_NE(tag, std::string::npos);
-    key.resize(tag); // Strip the v3 segment: a legacy-format key.
-    {
-        std::ofstream out(path);
-        out << key
-            << ",1.5,100,30,5,1,2,10,20,1000,2000,30,40,0.9,5000,120\n";
-    }
-    ExperimentRunner runner(path);
-    const MetricSet hit = runner.run(WorkloadId::WS, cfg);
-    EXPECT_EQ(runner.simulationsRun(), 0u);
-    EXPECT_EQ(runner.cacheHits(), 1u);
-    EXPECT_DOUBLE_EQ(hit.userIpc, 1.5);
-
-    // The same point on another device misses and re-simulates.
-    SimConfig ddr4 = cfg;
-    ddr4.applyDevice(dramDeviceOrDie("DDR4-2400"));
-    (void)runner.run(WorkloadId::WS, ddr4);
-    EXPECT_EQ(runner.simulationsRun(), 1u);
-    std::remove(path.c_str());
-}
-
-TEST(ExperimentCache, V6RowsLoadWithZeroTierColumns)
-{
-    // A v6-format row — 28 value columns, no tier counters — must
-    // satisfy a non-tiered lookup with the schema-v7 columns zeroed:
-    // non-tiered keys are byte-identical across v6 and v7.
-    const std::string path = tempCachePath("v6migrate");
-    const SimConfig cfg = tinyConfig();
-    const std::string key =
-        ExperimentRunner::configKey(WorkloadId::WS, cfg);
-    EXPECT_EQ(key.find("+t"), std::string::npos) << key;
-    {
-        std::ofstream out(path);
-        out << key
-            << ",1.5,100,30,5,1,2,10,20,1000,2000,30,40,0.9,5000,120,"
-               "55,77,99,1.1,1.2,1.3,,,42.5,0.25,3,7,\n";
-    }
-    ExperimentRunner runner(path);
-    const MetricSet hit = runner.run(WorkloadId::WS, cfg);
-    EXPECT_EQ(runner.simulationsRun(), 0u);
-    EXPECT_EQ(runner.cacheHits(), 1u);
-    EXPECT_DOUBLE_EQ(hit.userIpc, 1.5);
-    EXPECT_EQ(hit.remapMigrations, 3u);
-    // Schema-v7 columns default to zero.
-    EXPECT_DOUBLE_EQ(hit.fastTierHitPct, 0.0);
-    EXPECT_DOUBLE_EQ(hit.slowTierReadLatencyP99, 0.0);
-    EXPECT_EQ(hit.tierMigrations, 0u);
-    EXPECT_EQ(hit.tierMigratedRows, 0u);
-    std::remove(path.c_str());
-}
-
-TEST(ExperimentCache, TierColumnsRoundtrip)
-{
-    // Schema v7 rows persist the tier hit fraction, the slow-tier p99
-    // and the migration counters; a reloaded tiered row must
-    // reproduce all of them.
-    const std::string path = tempCachePath("v7roundtrip");
-    std::remove(path.c_str());
-    SimConfig cfg = tinyConfig();
-    cfg.tier.enabled = true;
-    cfg.tier.policy = TierPolicy::HotnessBased;
-    cfg.tier.monitorWindowSamples = 64; // Migrate within a tiny run.
-    MetricSet fresh;
-    {
-        ExperimentRunner runner(path);
-        fresh = runner.run(WorkloadId::WS, cfg);
-        EXPECT_GT(fresh.fastTierHitPct, 0.0);
-        EXPECT_LT(fresh.fastTierHitPct, 100.0);
-        EXPECT_GT(fresh.slowTierReadLatencyP99, 0.0);
-    }
-    {
-        ExperimentRunner runner(path);
-        const MetricSet cached = runner.run(WorkloadId::WS, cfg);
-        EXPECT_EQ(runner.simulationsRun(), 0u);
-        EXPECT_EQ(runner.cacheHits(), 1u);
-        EXPECT_NEAR(cached.fastTierHitPct, fresh.fastTierHitPct,
-                    1e-5 * fresh.fastTierHitPct);
-        EXPECT_NEAR(cached.slowTierReadLatencyP99,
-                    fresh.slowTierReadLatencyP99,
-                    1e-5 * fresh.slowTierReadLatencyP99);
-        EXPECT_EQ(cached.tierMigrations, fresh.tierMigrations);
-        EXPECT_EQ(cached.tierMigratedRows, fresh.tierMigratedRows);
-    }
-    std::remove(path.c_str());
-}
-
 TEST(ExperimentCache, KeySeparatesTiers)
 {
-    // Schema v7: a tiered run never aliases the plain fast-tier row,
+    // A tiered run never aliases the plain fast-tier row,
     // and policies / capacity splits / tier knobs never alias each
     // other — while non-tiered keys ignore the dormant tier struct.
     const SimConfig base = SimConfig::baseline();
@@ -861,4 +673,75 @@ TEST(ExperimentCache, KeySeparatesTiers)
     dormant.tier.fastCapacityPct = 25;
     dormant.tier.hotFactor = 8.0;
     EXPECT_EQ(kb, ExperimentRunner::configKey(WorkloadId::DS, dormant));
+}
+
+TEST(ExperimentCache, KeySeparatesWindowsToTheCycle)
+{
+    // The readable segment rounds the windows to kilocycles; the
+    // parameter hash must still separate windows closer than that.
+    const SimConfig base = SimConfig::baseline();
+    SimConfig longer = base;
+    longer.measureCoreCycles += 999;
+    SimConfig warmer = base;
+    warmer.warmupCoreCycles += 500;
+    const auto kb = ExperimentRunner::configKey(WorkloadId::DS, base);
+    const auto kl = ExperimentRunner::configKey(WorkloadId::DS, longer);
+    const auto kw = ExperimentRunner::configKey(WorkloadId::DS, warmer);
+    EXPECT_NE(kb, kl);
+    EXPECT_NE(kb, kw);
+    EXPECT_NE(kl, kw);
+}
+
+TEST(ExperimentCache, KeyCarriesModelVersion)
+{
+    const auto key =
+        ExperimentRunner::configKey(WorkloadId::DS, SimConfig::baseline());
+    const std::string tag = "|m" + std::to_string(kModelVersion);
+    ASSERT_GE(key.size(), tag.size());
+    EXPECT_EQ(key.substr(key.size() - tag.size()), tag) << key;
+}
+
+TEST(ExperimentCache, GoldenRowsPinModelVersion)
+{
+    // Four tiny pinned points, one per memory-system family. Their
+    // serialized cache rows (keys included) are hashed against a
+    // recorded value, so any change to a simulated result, the key or
+    // the row format fails here before stale rows could be recalled.
+    FastEnvGuard guard;
+    const std::string path = tempCachePath("golden");
+    std::remove(path.c_str());
+
+    const SimConfig ddr3 = tinyConfig(); // DDR3-1600, FR-FCFS.
+    SimConfig ddr5 = tinyConfig();
+    ddr5.applyDevice(dramDeviceOrDie("DDR5-4800"));
+    ddr5.scheduler = SchedulerKind::Atlas;
+    SimConfig hmc = tinyConfig();
+    hmc.applyDevice(dramDeviceOrDie("HMC2-8GB"));
+    hmc.remap.enabled = true;
+    SimConfig tiered = tinyConfig();
+    tiered.tier.enabled = true;
+    tiered.tier.policy = TierPolicy::HotnessBased;
+    {
+        ExperimentRunner runner(path);
+        (void)runner.runAll({{WorkloadId::WS, ddr3},
+                             {WorkloadId::TPCHQ6, ddr5},
+                             {WorkloadId::DS, hmc},
+                             {WorkloadId::DS, tiered}},
+                            1);
+        ASSERT_EQ(runner.simulationsRun(), 4u);
+    }
+    const std::string rows = readFile(path);
+    std::remove(path.c_str());
+
+    std::uint64_t h = 1469598103934665603ull; // FNV-1a.
+    for (const unsigned char c : rows) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    constexpr std::uint64_t kGoldenRowsHash = 0x2db4851bd698b5efull;
+    EXPECT_EQ(h, kGoldenRowsHash)
+        << "results changed: bump kModelVersion (src/sim/experiment.hh) "
+           "and re-record kGoldenRowsHash as 0x"
+        << std::hex << h << "\nrows:\n"
+        << rows;
 }

@@ -2,7 +2,7 @@
  * @file
  * Slowdown/fairness subsystem tests: the deriveFairnessMetrics math,
  * the alone-run baseline pipeline in ExperimentRunner (scheduling,
- * memoization, schema-v4 persistence), MixedWorkload part-isolated
+ * memoization, cache persistence), MixedWorkload part-isolated
  * baselines, event-vs-reference kernel equality of the derived
  * quantities, and STFM's online slowdown estimate against the
  * measured truth.
@@ -150,7 +150,7 @@ TEST(DeriveFairness, RejectsBadCoverage)
     MetricSet aloneBad = makeShared({1.0, 1.0});
     EXPECT_FALSE(deriveFairnessMetrics(shared, {{0, 3, &aloneBad}}));
 
-    // No per-core data on the shared run (a pre-v4 cache row).
+    // No per-core data on the shared run.
     shared = MetricSet{};
     EXPECT_FALSE(deriveFairnessMetrics(shared, {{0, 1, &aloneOk}}));
 }
@@ -273,20 +273,7 @@ TEST(Fairness, BaselinesMemoizeAcrossRepeatedSweeps)
         const MetricSet again = runner.runAll(points, 2).front();
         EXPECT_EQ(runner.simulationsRun(), 0u);
         EXPECT_EQ(runner.cacheHits(), 4u);
-        ASSERT_TRUE(again.hasFairness());
-        ASSERT_EQ(again.perCoreSlowdown.size(),
-                  first.perCoreSlowdown.size());
-        for (std::size_t c = 0; c < first.perCoreSlowdown.size(); ++c) {
-            EXPECT_NEAR(again.perCoreSlowdown[c],
-                        first.perCoreSlowdown[c],
-                        1e-5 * first.perCoreSlowdown[c]);
-        }
-        EXPECT_NEAR(again.weightedSpeedup, first.weightedSpeedup,
-                    1e-5 * first.weightedSpeedup);
-        EXPECT_NEAR(again.harmonicSpeedup, first.harmonicSpeedup,
-                    1e-5 * first.harmonicSpeedup);
-        EXPECT_NEAR(again.maxSlowdown, first.maxSlowdown,
-                    1e-5 * first.maxSlowdown);
+        EXPECT_EQ(metricMismatch(again, first), "");
     }
     std::remove(path.c_str());
 }
@@ -314,10 +301,7 @@ TEST(Fairness, MetricsBitIdenticalAcrossKernels)
         evShared, {{0, shared.cores, &evAlone}}));
     ASSERT_TRUE(deriveFairnessMetrics(
         refShared, {{0, shared.cores, &refAlone}}));
-    EXPECT_EQ(evShared.perCoreSlowdown, refShared.perCoreSlowdown);
-    EXPECT_EQ(evShared.weightedSpeedup, refShared.weightedSpeedup);
-    EXPECT_EQ(evShared.harmonicSpeedup, refShared.harmonicSpeedup);
-    EXPECT_EQ(evShared.maxSlowdown, refShared.maxSlowdown);
+    EXPECT_EQ(metricMismatch(evShared, refShared), "");
 }
 
 TEST(Fairness, MixedPartsUseTheirIsolatedBaselines)

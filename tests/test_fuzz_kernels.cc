@@ -226,46 +226,6 @@ expectTracesIdentical(const RunResult &got, const RunResult &want,
     }
 }
 
-/** Every metric must match to the last bit, not approximately. */
-void
-expectMetricsIdentical(const MetricSet &ev, const MetricSet &ref)
-{
-    EXPECT_EQ(ev.userIpc, ref.userIpc);
-    EXPECT_EQ(ev.avgReadLatency, ref.avgReadLatency);
-    EXPECT_EQ(ev.readLatencyP50, ref.readLatencyP50);
-    EXPECT_EQ(ev.readLatencyP95, ref.readLatencyP95);
-    EXPECT_EQ(ev.readLatencyP99, ref.readLatencyP99);
-    EXPECT_EQ(ev.rowHitRatePct, ref.rowHitRatePct);
-    EXPECT_EQ(ev.l2Mpki, ref.l2Mpki);
-    EXPECT_EQ(ev.avgReadQueue, ref.avgReadQueue);
-    EXPECT_EQ(ev.avgWriteQueue, ref.avgWriteQueue);
-    EXPECT_EQ(ev.bwUtilPct, ref.bwUtilPct);
-    EXPECT_EQ(ev.singleAccessPct, ref.singleAccessPct);
-    EXPECT_EQ(ev.sameGroupCasPct, ref.sameGroupCasPct);
-    EXPECT_EQ(ev.ipcDisparity, ref.ipcDisparity);
-    EXPECT_EQ(ev.dramEnergyNj, ref.dramEnergyNj);
-    EXPECT_EQ(ev.dramAvgPowerMw, ref.dramAvgPowerMw);
-    EXPECT_EQ(ev.committedInstructions, ref.committedInstructions);
-    EXPECT_EQ(ev.measuredCycles, ref.measuredCycles);
-    EXPECT_EQ(ev.memReads, ref.memReads);
-    EXPECT_EQ(ev.memWrites, ref.memWrites);
-    ASSERT_EQ(ev.perCoreIpc.size(), ref.perCoreIpc.size());
-    for (std::size_t i = 0; i < ev.perCoreIpc.size(); ++i)
-        EXPECT_EQ(ev.perCoreIpc[i], ref.perCoreIpc[i]);
-    // Stacked-backend quantities (all-zero on flat configurations).
-    EXPECT_EQ(ev.vaultQueueImbalance, ref.vaultQueueImbalance);
-    EXPECT_EQ(ev.remapMigrations, ref.remapMigrations);
-    EXPECT_EQ(ev.remapMigratedRows, ref.remapMigratedRows);
-    // Tiered-backend quantities (all-zero on non-tiered configurations).
-    EXPECT_EQ(ev.fastTierHitPct, ref.fastTierHitPct);
-    EXPECT_EQ(ev.slowTierReadLatencyP99, ref.slowTierReadLatencyP99);
-    EXPECT_EQ(ev.tierMigrations, ref.tierMigrations);
-    EXPECT_EQ(ev.tierMigratedRows, ref.tierMigratedRows);
-    ASSERT_EQ(ev.perVaultReadQueue.size(), ref.perVaultReadQueue.size());
-    for (std::size_t i = 0; i < ev.perVaultReadQueue.size(); ++i)
-        EXPECT_EQ(ev.perVaultReadQueue[i], ref.perVaultReadQueue[i]);
-}
-
 } // namespace
 
 class KernelFuzz : public ::testing::TestWithParam<std::uint64_t>
@@ -280,7 +240,8 @@ TEST_P(KernelFuzz, EventAndReferenceKernelsAgreeOnRandomConfig)
     const RunResult ev = runKernel(f, /*reference=*/false);
     const RunResult ref = runKernel(f, /*reference=*/true);
 
-    expectMetricsIdentical(ev.metrics, ref.metrics);
+    // Every MetricSet field must match to the last bit.
+    EXPECT_EQ(metricMismatch(ev.metrics, ref.metrics), "");
     EXPECT_EQ(ev.endTick, ref.endTick);
 
     // Exact command-trace equality: a kernel that skipped a refresh

@@ -298,17 +298,7 @@ TEST(TieredBackend, RunAgreesAcrossAllKernels)
     const MetricSet ref = runOnce(true);
     const MetricSet ev = runOnce(false);
 
-    EXPECT_EQ(ev.committedInstructions, ref.committedInstructions);
-    EXPECT_EQ(ev.memReads, ref.memReads);
-    EXPECT_EQ(ev.memWrites, ref.memWrites);
-    EXPECT_EQ(ev.userIpc, ref.userIpc);
-    EXPECT_EQ(ev.avgReadLatency, ref.avgReadLatency);
-    EXPECT_EQ(ev.bwUtilPct, ref.bwUtilPct);
-    EXPECT_EQ(ev.dramEnergyNj, ref.dramEnergyNj);
-    EXPECT_EQ(ev.fastTierHitPct, ref.fastTierHitPct);
-    EXPECT_EQ(ev.slowTierReadLatencyP99, ref.slowTierReadLatencyP99);
-    EXPECT_EQ(ev.tierMigrations, ref.tierMigrations);
-    EXPECT_EQ(ev.tierMigratedRows, ref.tierMigratedRows);
+    EXPECT_EQ(metricMismatch(ev, ref), "");
     EXPECT_GT(ref.memReads, 0u);
     EXPECT_GT(ref.fastTierHitPct, 0.0);
 }
@@ -378,13 +368,7 @@ TEST(Backend, StackedCollectTwiceIsIdentical)
     be->collect(twice, Tick{}); // Must be a no-op repeat.
     be->collect(once, Tick{});
     ASSERT_GE(once.remapMigrations, 1u);
-    EXPECT_EQ(twice.remapMigrations, once.remapMigrations);
-    EXPECT_EQ(twice.remapMigratedRows, once.remapMigratedRows);
-    EXPECT_EQ(twice.dramEnergyNj, once.dramEnergyNj);
-    EXPECT_EQ(twice.vaultQueueImbalance, once.vaultQueueImbalance);
-    ASSERT_EQ(twice.perVaultReadQueue.size(), once.perVaultReadQueue.size());
-    for (std::size_t i = 0; i < once.perVaultReadQueue.size(); ++i)
-        EXPECT_EQ(twice.perVaultReadQueue[i], once.perVaultReadQueue[i]);
+    EXPECT_EQ(metricMismatch(twice, once), "");
 }
 
 TEST(Backend, FlatAndTieredCollectTwiceIsIdentical)
@@ -403,11 +387,6 @@ TEST(Backend, FlatAndTieredCollectTwiceIsIdentical)
         be->collect(twice, Tick{});
         be->collect(twice, Tick{});
         be->collect(once, Tick{});
-        EXPECT_EQ(twice.dramEnergyNj, once.dramEnergyNj);
-        EXPECT_EQ(twice.bwUtilPct, once.bwUtilPct);
-        EXPECT_EQ(twice.fastTierHitPct, once.fastTierHitPct);
-        EXPECT_EQ(twice.tierMigrations, once.tierMigrations);
-        EXPECT_EQ(twice.perVaultReadQueue.size(),
-                  once.perVaultReadQueue.size());
+        EXPECT_EQ(metricMismatch(twice, once), "") << "tiered " << tiered;
     }
 }
