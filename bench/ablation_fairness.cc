@@ -31,6 +31,7 @@
 
 #include "common/table.hh"
 #include "sim/experiment.hh"
+#include "sim/spec.hh"
 #include "workload/mixed.hh"
 
 using namespace mcsim;
@@ -80,17 +81,30 @@ main(int argc, char **argv)
     std::string workload = "WS";
     bool csv = false;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--measure") == 0 && i + 1 < argc)
-            measure = std::strtoull(argv[++i], nullptr, 10);
-        else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
+        if (std::strcmp(argv[i], "--measure") == 0 && i + 1 < argc) {
+            if (!parseUint(argv[++i], measure) || measure == 0) {
+                std::fprintf(stderr, "error: --measure needs a nonzero "
+                                     "cycle count, got '%s'\n",
+                             argv[i]);
+                return 1;
+            }
+        } else if (std::strcmp(argv[i], "--threads") == 0 &&
+                   i + 1 < argc) {
             setenv("CLOUDMC_THREADS", argv[++i], 1);
-        else if (std::strcmp(argv[i], "--workload") == 0 && i + 1 < argc)
+        } else if (std::strcmp(argv[i], "--workload") == 0 &&
+                   i + 1 < argc) {
             workload = argv[++i];
-        else if (std::strcmp(argv[i], "--csv") == 0)
+        } else if (std::strcmp(argv[i], "--csv") == 0) {
             csv = true;
+        }
     }
     WorkloadId preset = WorkloadId::WS;
-    tryWorkloadFromName(workload, preset);
+    if (!tryWorkloadFromName(workload, preset)) {
+        std::fprintf(stderr, "error: unknown workload '%s' for "
+                             "--workload\n",
+                     workload.c_str());
+        return 1;
+    }
     const std::vector<MixPart> mix = {{WorkloadId::WS, 8},
                                       {WorkloadId::TPCHQ6, 8}};
     const std::string mixLabel = "mix WS:8 + TPCH-Q6:8";

@@ -28,6 +28,7 @@
 
 #include "common/table.hh"
 #include "sim/experiment.hh"
+#include "sim/spec.hh"
 #include "workload/mixed.hh"
 
 using namespace mcsim;
@@ -66,10 +67,17 @@ main(int argc, char **argv)
 {
     std::uint64_t measure = 4'000'000;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--measure") == 0 && i + 1 < argc)
-            measure = std::strtoull(argv[++i], nullptr, 10);
-        else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
+        if (std::strcmp(argv[i], "--measure") == 0 && i + 1 < argc) {
+            if (!parseUint(argv[++i], measure) || measure == 0) {
+                std::fprintf(stderr, "error: --measure needs a nonzero "
+                                     "cycle count, got '%s'\n",
+                             argv[i]);
+                return 1;
+            }
+        } else if (std::strcmp(argv[i], "--threads") == 0 &&
+                   i + 1 < argc) {
             setenv("CLOUDMC_THREADS", argv[++i], 1);
+        }
     }
 
     const std::vector<MixCase> mixes = {

@@ -11,11 +11,12 @@
  *                       [--mapping M] [--device D] [--channels N] [...]
  *        run_experiment --config sweep.spec [--csv]
  *
- * With --config the spec's cross product (devices x schedulers x
- * policies x mappings x channels x workloads) runs as one parallel
- * batch through ExperimentRunner::runAll and prints one row per
- * point. Run with --help for the full flag list and --list for every
- * legal name.
+ * Every spec key is also a flag (`--tier-bw 50` is `tier_bw = 50`).
+ * With --config, or when a flag lists several values, the spec's
+ * cross product (devices x schedulers x policies x mappings x
+ * channels x workloads) runs as one parallel batch through
+ * ExperimentRunner::runAll and prints one row per point. Run with
+ * --help for the full flag list and --list for every legal name.
  */
 
 #include <cstdio>
@@ -43,13 +44,7 @@ mappingLabel(const SimConfig &cfg)
 int
 runSweep(const ExperimentOptions &opts)
 {
-    // Re-seat the sweep's base on the fully-parsed config so scalar
-    // flags given after --config (--warmup/--measure/--seed/--fast)
-    // apply to every point; the axis lists stay the spec's (already
-    // collapsed by any axis flags parsed after --config).
-    ExperimentSpec spec = opts.spec;
-    spec.base = opts.config;
-    spec.fairness = spec.fairness || opts.fairness;
+    const ExperimentSpec &spec = opts.spec;
     const auto points = spec.points();
     std::printf("run_experiment: sweeping %zu point(s) from spec%s\n",
                 points.size(),
@@ -122,7 +117,7 @@ main(int argc, char **argv)
         std::fputs(ExperimentOptions::listText().c_str(), stdout);
         return 0;
     }
-    if (opts.hasSpec)
+    if (opts.hasSpec || opts.spec.pointCount() > 1)
         return runSweep(opts);
 
     const WorkloadParams workload = workloadPreset(opts.workload);

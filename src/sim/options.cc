@@ -1,263 +1,80 @@
 #include "options.hh"
 
+#include <algorithm>
+#include <iomanip>
 #include <sstream>
 
 #include "dram/devices.hh"
 
 namespace mcsim {
 
+namespace {
+
+/** --fast D: shorten both windows by D, measure floored at 100k. */
+std::string
+applyFast(SimConfig &cfg, const std::string &value)
+{
+    std::uint64_t d = 0;
+    if (!parseUint(value, d) || d == 0)
+        return "needs a nonzero divisor, got '" + value + "'";
+    cfg.warmupCoreCycles /= d;
+    cfg.measureCoreCycles =
+        std::max<std::uint64_t>(cfg.measureCoreCycles / d, 100'000);
+    return {};
+}
+
+} // namespace
+
 std::string
 ExperimentOptions::parse(int argc, char **argv)
 {
-    const auto need = [&](int &i) -> const char * {
-        return i + 1 < argc ? argv[++i] : nullptr;
-    };
-
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
+        const std::string next = i + 1 < argc ? argv[i + 1] : "";
         if (arg == "--help" || arg == "-h") {
             helpRequested = true;
         } else if (arg == "--list") {
             listRequested = true;
         } else if (arg == "--csv") {
             csv = true;
-        } else if (arg == "--fairness") {
-            fairness = true;
-            if (hasSpec)
-                spec.fairness = true;
-        } else if (arg == "--workload") {
-            const char *v = need(i);
-            if (!v || !tryWorkloadFromName(v, workload))
-                return "unknown workload for --workload";
-            if (hasSpec)
-                spec.workloads = {workload};
-        } else if (arg == "--scheduler") {
-            const char *v = need(i);
-            if (!v || !trySchedulerKindFromName(v, config.scheduler))
-                return "unknown scheduler for --scheduler";
-            if (hasSpec)
-                spec.schedulers = {config.scheduler};
-        } else if (arg == "--policy") {
-            const char *v = need(i);
-            if (!v || !tryPagePolicyKindFromName(v, config.pagePolicy))
-                return "unknown page policy for --policy";
-            if (hasSpec)
-                spec.policies = {config.pagePolicy};
-        } else if (arg == "--mapping") {
-            const char *v = need(i);
-            if (!v || !tryMappingSchemeFromName(v, config.mapping))
-                return "unknown mapping scheme for --mapping";
-            if (hasSpec)
-                spec.mappings = {config.mapping};
-        } else if (arg == "--group-mapping") {
-            const char *v = need(i);
-            if (!v ||
-                !tryBankGroupMappingFromName(v, config.bankGroupMapping))
-                return "unknown bank-group mapping for --group-mapping";
-            if (hasSpec)
-                spec.groupMappings = {config.bankGroupMapping};
-        } else if (arg == "--device") {
-            const char *v = need(i);
-            const DramDevice *dev = v ? findDramDevice(v) : nullptr;
-            if (!dev)
-                return "unknown DRAM device for --device (try --list)";
-            config.applyDevice(*dev);
-            if (hasSpec)
-                spec.devices = {dev->name};
-        } else if (arg == "--config") {
-            const char *v = need(i);
-            if (!v)
-                return "--config needs a spec file path";
-            const std::string err = loadExperimentSpec(v, spec);
-            if (!err.empty())
-                return "spec '" + std::string(v) + "': " + err;
-            hasSpec = true;
-            // Scalar keys of the spec shape the single-point config
-            // too; later flags may still override them.
-            config = spec.base;
-            if (spec.workloads.size() == 1)
-                workload = spec.workloads.front();
-            if (spec.fairness)
-                fairness = true;
-            else if (fairness)
-                spec.fairness = true; // --fairness before --config.
-        } else if (arg == "--backend") {
-            const char *v = need(i);
-            const std::string kind = v ? v : "";
-            if (kind == "stacked") {
-                // Selecting the stacked backend on a flat configuration
-                // means "give me the stacked reference part".
-                if (config.dram.vaultsPerStack == 0)
-                    config.applyDevice(dramDeviceOrDie("HMC2-8GB"));
-                if (hasSpec) {
-                    for (const std::string &d : spec.devices) {
-                        if (dramDeviceOrDie(d).geometry.vaultsPerStack ==
-                            0) {
-                            return "--backend stacked conflicts with "
-                                   "flat device '" +
-                                   d + "' in the sweep";
-                        }
-                    }
-                    if (spec.devices.empty())
-                        spec.devices = {config.deviceName};
-                    spec.hasBackend = true;
-                    spec.backendKind = MemBackendKind::StackedDram;
-                }
-            } else if (kind == "flat") {
-                if (config.dram.vaultsPerStack != 0)
-                    return "--backend flat conflicts with stacked "
-                           "device '" +
-                           config.deviceName +
-                           "' (pick a flat part with --device)";
-                if (hasSpec) {
-                    for (const std::string &d : spec.devices) {
-                        if (dramDeviceOrDie(d).geometry.vaultsPerStack >
-                            0) {
-                            return "--backend flat conflicts with "
-                                   "stacked device '" +
-                                   d + "' in the sweep";
-                        }
-                    }
-                    spec.hasBackend = true;
-                    spec.backendKind = MemBackendKind::FlatDram;
-                }
-            } else {
-                return "--backend must be 'flat' or 'stacked'";
-            }
-        } else if (arg == "--vaults") {
-            const char *v = need(i);
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n) || n == 0 || !isPowerOf2(n))
-                return "--vaults needs a power-of-two count";
-            if (config.dram.vaultsPerStack == 0)
-                return "--vaults applies to the stacked backend only "
-                       "(put --backend stacked or a stacked --device "
-                       "first)";
-            config.setVaults(static_cast<std::uint32_t>(n));
-            if (hasSpec)
-                spec.vaultCounts = {config.dram.vaultsPerStack};
-        } else if (arg == "--remap") {
-            const char *v = need(i);
-            const std::string mode = v ? v : "";
-            if (mode != "on" && mode != "off")
-                return "--remap must be 'on' or 'off'";
-            if (config.dram.vaultsPerStack == 0)
-                return "--remap applies to the stacked backend only "
-                       "(put --backend stacked or a stacked --device "
-                       "first)";
-            config.remap.enabled = mode == "on";
-            if (hasSpec) {
-                spec.hasRemap = true;
-                spec.base.remap.enabled = config.remap.enabled;
-            }
-        } else if (arg == "--tier") {
-            const char *v = need(i);
-            const std::string mode = v ? v : "";
-            if (mode != "on" && mode != "off")
-                return "--tier must be 'on' or 'off'";
-            config.tier.enabled = mode == "on";
-            if (hasSpec) {
-                spec.hasTier = true;
-                spec.base.tier.enabled = config.tier.enabled;
-            }
-        } else if (arg == "--tier-policy") {
-            const char *v = need(i);
-            if (!v || !tryTierPolicyFromName(v, config.tier.policy))
-                return "--tier-policy must be 'static_split', "
-                       "'hotness_based', or 'alloy_cache'";
-            if (!config.tier.enabled)
-                return "--tier-policy applies to the tiered backend "
-                       "only (put --tier on first)";
-            if (hasSpec)
-                spec.base.tier.policy = config.tier.policy;
-        } else if (arg == "--tier-latency") {
-            const char *v = need(i);
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n) || n > 1'000'000)
-                return "--tier-latency needs a DRAM cycle count in "
-                       "[0, 1000000]";
-            if (!config.tier.enabled)
-                return "--tier-latency applies to the tiered backend "
-                       "only (put --tier on first)";
-            config.tier.slowLatencyDramCycles =
-                static_cast<std::uint32_t>(n);
-            if (hasSpec)
-                spec.base.tier.slowLatencyDramCycles =
-                    config.tier.slowLatencyDramCycles;
-        } else if (arg == "--tier-bw") {
-            const char *v = need(i);
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n) || n == 0 || n > 100)
-                return "--tier-bw needs a percentage in [1, 100]";
-            if (!config.tier.enabled)
-                return "--tier-bw applies to the tiered backend only "
-                       "(put --tier on first)";
-            config.tier.slowBwPct = static_cast<std::uint32_t>(n);
-            if (hasSpec)
-                spec.base.tier.slowBwPct = config.tier.slowBwPct;
-        } else if (arg == "--tier-capacity-pct") {
-            const char *v = need(i);
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n) || n == 0 || n > 100)
-                return "--tier-capacity-pct needs a percentage in "
-                       "[1, 100]";
-            if (!config.tier.enabled)
-                return "--tier-capacity-pct applies to the tiered "
-                       "backend only (put --tier on first)";
-            config.tier.fastCapacityPct = static_cast<std::uint32_t>(n);
-            if (hasSpec)
-                spec.base.tier.fastCapacityPct =
-                    config.tier.fastCapacityPct;
-        } else if (arg == "--channels") {
-            const char *v = need(i);
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n) || n == 0 || !isPowerOf2(n))
-                return "--channels needs a power-of-two count";
-            config.dram.channels = static_cast<std::uint32_t>(n);
-            if (hasSpec)
-                spec.channelCounts = {config.dram.channels};
-        } else if (arg == "--warmup") {
-            const char *v = need(i);
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n))
-                return "--warmup needs a cycle count";
-            config.warmupCoreCycles = n;
-        } else if (arg == "--measure") {
-            const char *v = need(i);
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n) || n == 0)
-                return "--measure needs a nonzero cycle count";
-            config.measureCoreCycles = n;
-        } else if (arg == "--seed") {
-            const char *v = need(i);
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n))
-                return "--seed needs a number";
-            config.seed = n;
-        } else if (arg == "--fast") {
-            const char *v = need(i);
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n) || n == 0)
-                return "--fast needs a nonzero divisor";
-            config.warmupCoreCycles /= n;
-            config.measureCoreCycles =
-                std::max<std::uint64_t>(config.measureCoreCycles / n,
-                                        100'000);
+        } else if (arg == "--fairness" && next != "on" && next != "off") {
+            spec.fairness = true; // Bare form of `--fairness on`.
         } else if (arg.rfind("--", 0) == 0) {
-            return "unknown flag '" + arg + "'";
+            // `--foo-bar V` is the spec line `foo_bar = V`.
+            std::string key = arg.substr(2);
+            std::replace(key.begin(), key.end(), '-', '_');
+            const bool cliOnly = arg == "--config" || arg == "--fast";
+            if (arg.find('_') != std::string::npos ||
+                (!cliOnly && !findSpecKey(key))) {
+                return "unknown flag '" + arg + "'";
+            }
+            if (i + 1 == argc)
+                return arg + " needs a value";
+            ++i;
+            hasSpec = hasSpec || arg == "--config";
+            const std::string err =
+                arg == "--config" ? applySpecFile(next, spec)
+                : arg == "--fast" ? applyFast(spec.base, next)
+                                  : applySpecKey(spec, key, next);
+            if (!err.empty())
+                return arg + ": " + err;
         } else {
             // A bare acronym selects the workload; anything else stays
             // positional for the tool to interpret.
             WorkloadId w;
-            if (tryWorkloadFromName(arg, w)) {
-                workload = w;
-                if (hasSpec)
-                    spec.workloads = {w};
-            } else {
+            if (tryWorkloadFromName(arg, w))
+                spec.workloads = {w};
+            else
                 positional.push_back(arg);
-            }
         }
     }
+    const std::string err = finishSpec(spec);
+    if (!err.empty())
+        return err;
+    config = spec.base;
+    workload = spec.workloads.size() == 1 ? spec.workloads.front()
+                                          : WorkloadId::DS;
+    fairness = spec.fairness;
     return {};
 }
 
@@ -314,19 +131,33 @@ ExperimentOptions::usage(const std::string &tool)
 {
     std::ostringstream out;
     out << "usage: " << tool
-        << " [workload] [--workload W] [--scheduler S] [--policy P]\n"
-        << "       [--mapping M] [--group-mapping G] [--device D] "
-           "[--config SPEC]\n"
-        << "       [--backend flat|stacked] [--vaults N] [--remap "
-           "on|off]\n"
-        << "       [--tier on|off] [--tier-policy "
-           "static_split|hotness_based|alloy_cache]\n"
-        << "       [--tier-latency C] [--tier-bw PCT] "
-           "[--tier-capacity-pct PCT]\n"
-        << "       [--channels N] [--warmup C] [--measure C] [--seed N] "
-           "[--fast D]\n"
-        << "       [--csv] [--fairness] [--list]\n\n";
-    out << listText();
+        << " [workload] [--key value ...] [--config SPEC] [--fast D]\n"
+        << "       [--csv] [--fairness] [--list] [--help]\n\n"
+        << "Each spec-file line `key = value` is the flag `--key value`"
+           " (underscores\nwritten as dashes; plural aliases too). Flags"
+           " and --config files apply\nin order; the last write of a key"
+           " wins. [stacked]: stacked devices only;\n[tier]: needs"
+           " --tier on.\n\n";
+    const auto row = [&out](const std::string &flag,
+                            const std::string &help) {
+        out << "  " << std::left << std::setw(23) << flag << ' ' << help
+            << '\n';
+    };
+    for (const SpecKey &k : kSpecKeys) {
+        std::string flag = std::string("--") + k.name;
+        std::replace(flag.begin(), flag.end(), '_', '-');
+        row(flag, std::string(k.help) +
+                      (k.scope == SpecScope::Stacked ? " [stacked]"
+                       : k.scope == SpecScope::Tiered ? " [tier]"
+                                                      : ""));
+    }
+    row("--config FILE", "apply a spec file's lines at this position");
+    row("--fast D", "divide warmup and measure by D (measure >= 100k)");
+    row("--fairness", "same as --fairness on");
+    row("--csv", "CSV output");
+    row("--list", "list every legal name");
+    row("--help, -h", "this text");
+    out << '\n' << listText();
     return out.str();
 }
 

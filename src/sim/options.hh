@@ -1,11 +1,9 @@
 /**
  * @file
- * Command-line configuration for the examples and one-off experiment
- * runs: parse `--scheduler/--policy/--channels/--mapping/--workload/
- * --device/--config/--warmup/--measure/--seed/--fast` style arguments
- * onto a SimConfig, a workload selection and (optionally) a sweep
- * spec, with generated usage/--list text. Keeps every tool's flag
- * vocabulary identical.
+ * Command-line configuration for run_experiment: every spec key
+ * doubles as a flag, so `--foo-bar V` means exactly the spec line
+ * `foo_bar = V` (see kSpecKeys in spec.hh), plus a few CLI-only
+ * flags, with generated usage/--list text.
  */
 
 #ifndef CLOUDMC_SIM_OPTIONS_HH
@@ -23,12 +21,14 @@ namespace mcsim {
 /** Parsed command line for an experiment-style tool. */
 struct ExperimentOptions
 {
+    /** The parsed spec's base: the configuration of a one-point
+     *  run. */
     SimConfig config = SimConfig::baseline();
+    /** The spec's single workload, or DS when it names none. */
     WorkloadId workload = WorkloadId::DS;
     bool csv = false;
-    /** Set by --fairness: run alone-run baselines and report the
-     *  slowdown/fairness metrics (also turned on by a spec's
-     *  `fairness = on` key). */
+    /** Run alone-run baselines and report the slowdown/fairness
+     *  metrics (the spec's `fairness` key). */
     bool fairness = false;
     /** Leftover positional arguments, in order. */
     std::vector<std::string> positional;
@@ -36,44 +36,27 @@ struct ExperimentOptions
     bool helpRequested = false;
     /** Set when --list was requested; print listText() and exit. */
     bool listRequested = false;
-    /** Sweep spec loaded by --config (valid when hasSpec). Its base
-     *  configuration is also merged into `config`, so tools that only
-     *  run one point still honor the file's scalar keys. */
+    /** Every flag and --config line, applied in order and finished;
+     *  the sweep to run when it has more than one point. */
     ExperimentSpec spec;
+    /** Set when a --config file was applied. */
     bool hasSpec = false;
 
     /**
      * Parse argv (excluding argv[0]). Returns an empty string on
-     * success, or a one-line error describing the offending argument.
-     * Recognized flags:
-     *   --workload <acronym>      (also accepted as a positional)
-     *   --scheduler <name>        FR-FCFS, FCFS, FCFS_banks, PAR-BS,
-     *                             ATLAS, RL, FQM, TCM, STFM
-     *   --policy <name>           OpenAdaptive, CloseAdaptive, RBPP,
-     *                             ABPP, Open, Close, Timer, History
-     *   --mapping <name>          RoRaBaCoCh, ..., PermBaXor, ...
-     *   --group-mapping <name>    GroupInterleaved | GroupPacked
-     *                             (bank-group bit placement)
-     *   --device <name>           DRAM device registry name
-     *   --config <file>           key=value experiment spec (sweeps)
-     *   --backend <flat|stacked>  memory backend; `stacked` on a flat
-     *                             configuration selects the HMC2-8GB
-     *                             registry entry
-     *   --vaults <n>              stacked only: capacity-preserving
-     *                             vault-count override (power of two)
-     *   --remap <on|off>          stacked only: dynamic hot-bank
-     *                             vault remapping
-     *   --channels <1|2|4|...>
-     *   --warmup <core cycles>    --measure <core cycles>
-     *   --seed <n>                --fast <divisor>   --csv
-     *   --fairness                alone-run slowdown/fairness metrics
-     *   --list                    --help
-     * Flags apply in order: an axis flag after `--config` (e.g.
-     * `--config sweep.spec --device DDR4-2400`) collapses that axis of
-     * the loaded sweep to the flag's single value, and also shapes the
-     * single-point `config`. Scalar flags (--warmup/--measure/--seed/
-     * --fast) land in `config`; sweep runners should re-seat the
-     * spec's base on it (see run_experiment) so they apply there too.
+     * success, or a one-line error naming the offending flag.
+     *
+     * `--foo-bar V` applies the spec line `foo_bar = V`. `--config
+     * FILE` applies the file's lines at that position, so flags and
+     * file lines apply in argv order and the last write of a key
+     * wins; cross-key checks run once, after the last argument. A
+     * bare workload acronym sets the workload; other non-flag
+     * arguments land in `positional`. CLI-only flags:
+     *   --help, -h   --list   --csv
+     *   --fairness   bare form of `--fairness on`
+     *   --config F   apply spec file F here
+     *   --fast D     divide the current warmup and measure windows
+     *                by D (measure floored at 100k cycles)
      */
     std::string parse(int argc, char **argv);
 

@@ -1,6 +1,7 @@
 #include "spec.hh"
 
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -29,36 +30,115 @@ std::vector<std::string>
 splitList(const std::string &value)
 {
     std::vector<std::string> out;
-    std::size_t start = 0;
-    while (true) {
-        const std::size_t comma = value.find(',', start);
-        const std::string item = trim(
-            comma == std::string::npos ? value.substr(start)
-                                       : value.substr(start, comma - start));
+    std::istringstream in(value);
+    for (std::string item; std::getline(in, item, ',');) {
+        item = trim(item);
         if (!item.empty())
             out.push_back(item);
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
     }
     return out;
 }
 
-/** Parse one list-valued axis through a per-item name lookup. */
+/** Parse one list-valued axis through a per-item lookup; @p bad
+ *  names a rejected item ("unknown scheduler"). */
 template <typename T, typename Lookup>
 std::string
-parseAxis(const std::string &value, const char *what, Lookup lookup,
-          std::vector<T> &out)
+listAxis(const std::string &value, const char *bad, Lookup lookup,
+         std::vector<T> &out)
 {
-    out.clear();
+    std::vector<T> parsed;
     for (const std::string &item : splitList(value)) {
-        T parsed;
-        if (!lookup(item, parsed))
-            return std::string("unknown ") + what + " '" + item + "'";
-        out.push_back(parsed);
+        T v{};
+        if (!lookup(item, v))
+            return std::string("has ") + bad + " '" + item + "'";
+        parsed.push_back(v);
     }
-    if (out.empty())
-        return std::string("empty ") + what + " list";
+    if (parsed.empty())
+        return "is an empty list";
+    out = std::move(parsed);
+    return {};
+}
+
+bool
+tryDeviceName(const std::string &name, std::string &out)
+{
+    if (!findDramDevice(name))
+        return false;
+    out = name;
+    return true;
+}
+
+bool
+tryPowerOf2(const std::string &text, std::uint32_t &out)
+{
+    std::uint64_t v = 0;
+    if (!parseUint(text, v) || v == 0 || v > (1u << 31) || !isPowerOf2(v))
+        return false;
+    out = static_cast<std::uint32_t>(v);
+    return true;
+}
+
+/** Parse an unsigned in [lo, hi] into @p out; @p what names the
+ *  quantity in the error ("a percentage"). */
+template <typename T>
+std::string
+uintIn(const std::string &value, std::uint64_t lo, std::uint64_t hi,
+       const char *what, T &out)
+{
+    std::uint64_t v = 0;
+    if (parseUint(value, v) && v >= lo && v <= hi) {
+        out = static_cast<T>(v);
+        return {};
+    }
+    const std::string range = hi == UINT64_MAX
+                                  ? ""
+                                  : " in [" + std::to_string(lo) + ", " +
+                                        std::to_string(hi) + "]";
+    return std::string("needs ") + what + range + ", got '" + value + "'";
+}
+
+std::string
+onOff(const std::string &value, bool &out)
+{
+    if (value != "on" && value != "off")
+        return "must be 'on' or 'off', got '" + value + "'";
+    out = value == "on";
+    return {};
+}
+
+/** Apply spec text line by line; errors carry the line number. */
+std::string
+applySpecText(const std::string &text, ExperimentSpec &spec)
+{
+    std::istringstream in(text);
+    std::string line;
+    int lineNo = 0;
+    const auto err = [&lineNo](const std::string &msg) {
+        return "line " + std::to_string(lineNo) + ": " + msg;
+    };
+
+    while (std::getline(in, line)) {
+        ++lineNo;
+        const std::size_t hash = line.find('#');
+        if (hash != std::string::npos)
+            line = line.substr(0, hash);
+        line = trim(line);
+        if (line.empty())
+            continue;
+
+        const std::size_t eq = line.find('=');
+        if (eq == std::string::npos)
+            return err("expected 'key = value', got '" + line + "'");
+        const std::string key = trim(line.substr(0, eq));
+        const std::string value = trim(line.substr(eq + 1));
+        if (key.empty())
+            return err("missing key before '='");
+        if (value.empty())
+            return err("missing value for '" + key + "'");
+        const std::string keyErr = applySpecKey(spec, key, value);
+        if (!keyErr.empty())
+            return err(keyErr);
+    }
     return {};
 }
 
@@ -90,330 +170,251 @@ ExperimentSpec::pointCount() const
 std::vector<ExperimentRunner::Point>
 ExperimentSpec::points() const
 {
-    // Empty axes collapse to the base configuration's single value.
-    const std::vector<std::string> devs =
-        devices.empty() ? std::vector<std::string>{base.deviceName}
-                        : devices;
-    const auto scheds = schedulers.empty()
-                            ? std::vector<SchedulerKind>{base.scheduler}
-                            : schedulers;
-    const auto pols = policies.empty()
-                          ? std::vector<PagePolicyKind>{base.pagePolicy}
-                          : policies;
-    const auto maps = mappings.empty()
-                          ? std::vector<MappingScheme>{base.mapping}
-                          : mappings;
-    const auto gmaps =
-        groupMappings.empty()
-            ? std::vector<BankGroupMapping>{base.bankGroupMapping}
-            : groupMappings;
-    const auto chans =
-        channelCounts.empty() ? std::vector<std::uint32_t>{
-                                    base.dram.channels}
-                              : channelCounts;
-    const auto wls = workloads.empty()
-                         ? std::vector<WorkloadId>{WorkloadId::DS}
-                         : workloads;
-    // 0 = keep the device's registry vault count (also the flat case).
-    const auto vaults = vaultCounts.empty()
-                            ? std::vector<std::uint32_t>{0}
-                            : vaultCounts;
+    // Empty axes collapse to the base configuration's single value
+    // (vault count 0 keeps the device's registry count).
+    const auto axis = [](auto list, auto fallback) {
+        if (list.empty())
+            list.push_back(fallback);
+        return list;
+    };
+    const auto devs = axis(devices, base.deviceName);
+    const auto scheds = axis(schedulers, base.scheduler);
+    const auto pols = axis(policies, base.pagePolicy);
+    const auto maps = axis(mappings, base.mapping);
+    const auto gmaps = axis(groupMappings, base.bankGroupMapping);
+    const auto chans = axis(channelCounts, base.dram.channels);
+    const auto vaults = axis(vaultCounts, std::uint32_t{0});
+    const auto wls = axis(workloads, WorkloadId::DS);
 
+    const std::size_t n = pointCount();
     std::vector<ExperimentRunner::Point> out;
-    out.reserve(devs.size() * scheds.size() * pols.size() * maps.size() *
-                gmaps.size() * chans.size() * vaults.size() * wls.size());
-    for (const std::string &dev : devs) {
-        SimConfig devCfg = base;
-        devCfg.applyDevice(dramDeviceOrDie(dev));
-        for (auto sched : scheds) {
-            for (auto pol : pols) {
-                for (auto map : maps) {
-                    for (auto gmap : gmaps) {
-                        for (auto ch : chans) {
-                            for (auto vc : vaults) {
-                                SimConfig cfg = devCfg;
-                                cfg.scheduler = sched;
-                                cfg.pagePolicy = pol;
-                                cfg.mapping = map;
-                                cfg.bankGroupMapping = gmap;
-                                cfg.dram.channels = ch;
-                                if (vc)
-                                    cfg.setVaults(vc);
-                                for (auto wl : wls) {
-                                    ExperimentRunner::Point p(wl, cfg);
-                                    if (fairness) {
-                                        ExperimentRunner::
-                                            attachAloneBaseline(p);
-                                    }
-                                    out.push_back(std::move(p));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+    out.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        // Point i's mixed-radix digits: workload fastest, device
+        // slowest.
+        std::size_t rest = i;
+        const auto pick = [&rest](const auto &list) {
+            const auto v = list[rest % list.size()];
+            rest /= list.size();
+            return v;
+        };
+        const WorkloadId wl = pick(wls);
+        const std::uint32_t vc = pick(vaults);
+        const std::uint32_t ch = pick(chans);
+        const BankGroupMapping gmap = pick(gmaps);
+        const MappingScheme map = pick(maps);
+        const PagePolicyKind pol = pick(pols);
+        const SchedulerKind sched = pick(scheds);
+        SimConfig cfg = base;
+        cfg.applyDevice(dramDeviceOrDie(pick(devs)));
+        cfg.scheduler = sched;
+        cfg.pagePolicy = pol;
+        cfg.mapping = map;
+        cfg.bankGroupMapping = gmap;
+        cfg.dram.channels = ch;
+        if (vc)
+            cfg.setVaults(vc);
+        ExperimentRunner::Point p(wl, cfg);
+        if (fairness)
+            ExperimentRunner::attachAloneBaseline(p);
+        out.push_back(std::move(p));
     }
     return out;
 }
 
-std::string
-parseExperimentSpec(const std::string &text, ExperimentSpec &out)
+// Each apply is a captureless generic lambda, (ExperimentSpec &s,
+// const std::string &v), converted to the SpecKey::apply pointer.
+const std::vector<SpecKey> kSpecKeys = {
+    {"device", "devices", "NAME,...  DRAM registry devices (see --list)",
+     SpecScope::Any, [](auto &s, auto &v) {
+         return listAxis(v, "unknown device", tryDeviceName, s.devices);
+     }},
+    {"scheduler", "schedulers", "NAME,...  FR-FCFS, ATLAS, TCM, ...",
+     SpecScope::Any, [](auto &s, auto &v) {
+         return listAxis(v, "unknown scheduler", trySchedulerKindFromName,
+                         s.schedulers);
+     }},
+    {"policy", "policies", "NAME,...  page policies: OpenAdaptive, ...",
+     SpecScope::Any, [](auto &s, auto &v) {
+         return listAxis(v, "unknown page policy",
+                         tryPagePolicyKindFromName, s.policies);
+     }},
+    {"mapping", "mappings", "NAME,...  address mappings: RoRaBaCoCh, ...",
+     SpecScope::Any, [](auto &s, auto &v) {
+         return listAxis(v, "unknown mapping scheme",
+                         tryMappingSchemeFromName, s.mappings);
+     }},
+    {"group_mapping", "group_mappings",
+     "NAME,...  GroupInterleaved, GroupPacked", SpecScope::Any,
+     [](auto &s, auto &v) {
+         return listAxis(v, "unknown bank-group mapping",
+                         tryBankGroupMappingFromName, s.groupMappings);
+     }},
+    {"channels", nullptr, "N,...  channel counts (powers of two)",
+     SpecScope::Any, [](auto &s, auto &v) {
+         return listAxis(v, "non-power-of-two channel count", tryPowerOf2,
+                         s.channelCounts);
+     }},
+    {"workload", "workloads", "ACR,...  paper workload acronyms",
+     SpecScope::Any, [](auto &s, auto &v) {
+         return listAxis(v, "unknown workload", tryWorkloadFromName,
+                         s.workloads);
+     }},
+    {"core_mhz", nullptr, "MHZ  core clock", SpecScope::Any,
+     [](auto &s, auto &v) {
+         std::uint32_t mhz = 0;
+         std::string err = uintIn(v, 1, 1'000'000, "a clock in MHz", mhz);
+         if (err.empty())
+             s.base.setCoreMhz(mhz);
+         return err;
+     }},
+    {"warmup", nullptr, "C  warmup core cycles", SpecScope::Any,
+     [](auto &s, auto &v) {
+         return uintIn(v, 0, UINT64_MAX, "a cycle count",
+                       s.base.warmupCoreCycles);
+     }},
+    {"measure", nullptr, "C  measured core cycles", SpecScope::Any,
+     [](auto &s, auto &v) {
+         return uintIn(v, 1, UINT64_MAX, "a nonzero cycle count",
+                       s.base.measureCoreCycles);
+     }},
+    {"seed", nullptr, "N  seed", SpecScope::Any,
+     [](auto &s, auto &v) {
+         return uintIn(v, 0, UINT64_MAX, "an integer", s.base.seed);
+     }},
+    {"refresh", nullptr, "on|off  DRAM refresh", SpecScope::Any,
+     [](auto &s, auto &v) { return onOff(v, s.base.refreshEnabled); }},
+    {"fairness", nullptr, "on|off  alone-run baselines, slowdown metrics",
+     SpecScope::Any,
+     [](auto &s, auto &v) { return onOff(v, s.fairness); }},
+    {"backend", nullptr, "flat|stacked  required backend (stacked alone: "
+                         "HMC2-8GB)",
+     SpecScope::Any, [](auto &s, auto &v) -> std::string {
+         if (v != "flat" && v != "stacked")
+             return "must be 'flat' or 'stacked', got '" + v + "'";
+         s.hasBackend = true;
+         s.backendKind = v == "flat" ? MemBackendKind::FlatDram
+                                     : MemBackendKind::StackedDram;
+         return {};
+     }},
+    {"vaults", nullptr, "N,...  vault counts (powers of two)",
+     SpecScope::Stacked, [](auto &s, auto &v) {
+         return listAxis(v, "non-power-of-two vault count", tryPowerOf2,
+                         s.vaultCounts);
+     }},
+    {"remap", nullptr, "on|off  dynamic hot-bank vault remapping",
+     SpecScope::Stacked,
+     [](auto &s, auto &v) { return onOff(v, s.base.remap.enabled); }},
+    {"tier", nullptr, "on|off  add a slow CXL/NVM-like second tier",
+     SpecScope::Any,
+     [](auto &s, auto &v) { return onOff(v, s.base.tier.enabled); }},
+    {"tier_policy", nullptr, "NAME  static_split|hotness_based|alloy_cache",
+     SpecScope::Tiered, [](auto &s, auto &v) -> std::string {
+         if (tryTierPolicyFromName(v, s.base.tier.policy))
+             return {};
+         return "must be 'static_split', 'hotness_based', or "
+                "'alloy_cache', got '" +
+                v + "'";
+     }},
+    {"tier_latency", nullptr, "C  extra slow-tier read latency (DRAM)",
+     SpecScope::Tiered, [](auto &s, auto &v) {
+         return uintIn(v, 0, 1'000'000, "a DRAM cycle count",
+                       s.base.tier.slowLatencyDramCycles);
+     }},
+    {"tier_bw", nullptr, "PCT  slow-tier service rate, % of fast",
+     SpecScope::Tiered, [](auto &s, auto &v) {
+         return uintIn(v, 1, 100, "a percentage", s.base.tier.slowBwPct);
+     }},
+    {"tier_capacity_pct", nullptr,
+     "PCT  fast tier's share of the address space", SpecScope::Tiered,
+     [](auto &s, auto &v) {
+         return uintIn(v, 1, 100, "a percentage",
+                       s.base.tier.fastCapacityPct);
+     }},
+    {"tier_hot_factor", nullptr,
+     "X  promote when hot density > X * cold density", SpecScope::Tiered,
+     [](auto &s, auto &v) -> std::string {
+         char *end = nullptr;
+         const double x = std::strtod(v.c_str(), &end);
+         if (end != v.c_str() + v.size() || !(x > 0.0))
+             return "needs a number > 0, got '" + v + "'";
+         s.base.tier.hotFactor = x;
+         return {};
+     }},
+    {"tier_migration_cycles", nullptr, "C  DRAM cycles per migrated row",
+     SpecScope::Tiered, [](auto &s, auto &v) {
+         return uintIn(v, 1, 1'000'000, "a DRAM cycle count",
+                       s.base.tier.migrationCyclesPerRow);
+     }},
+    {"monitor_sample", nullptr, "N  count every Nth routed access",
+     SpecScope::Tiered, [](auto &s, auto &v) {
+         return uintIn(v, 1, 1'000'000, "an integer",
+                       s.base.tier.monitorSampleEvery);
+     }},
+    {"monitor_window", nullptr, "N  counted samples per window",
+     SpecScope::Tiered, [](auto &s, auto &v) {
+         return uintIn(v, 1, 100'000'000, "an integer",
+                       s.base.tier.monitorWindowSamples);
+     }},
+    {"monitor_min_regions", nullptr, "N  region-count floor",
+     SpecScope::Tiered, [](auto &s, auto &v) {
+         return uintIn(v, 1, 1'000'000, "an integer",
+                       s.base.tier.monitorMinRegions);
+     }},
+    {"monitor_max_regions", nullptr, "N  region-count ceiling",
+     SpecScope::Tiered, [](auto &s, auto &v) {
+         return uintIn(v, 1, 1'000'000, "an integer",
+                       s.base.tier.monitorMaxRegions);
+     }},
+};
+
+const SpecKey *
+findSpecKey(const std::string &key)
 {
-    out = ExperimentSpec{};
-    std::istringstream in(text);
-    std::string line;
-    int lineNo = 0;
-    const auto err = [&lineNo](const std::string &msg) {
-        return "line " + std::to_string(lineNo) + ": " + msg;
-    };
-
-    while (std::getline(in, line)) {
-        ++lineNo;
-        const std::size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line = line.substr(0, hash);
-        line = trim(line);
-        if (line.empty())
-            continue;
-
-        const std::size_t eq = line.find('=');
-        if (eq == std::string::npos)
-            return err("expected 'key = value', got '" + line + "'");
-        const std::string key = trim(line.substr(0, eq));
-        const std::string value = trim(line.substr(eq + 1));
-        if (key.empty())
-            return err("missing key before '='");
-        if (value.empty())
-            return err("missing value for '" + key + "'");
-
-        std::string axisErr;
-        if (key == "device" || key == "devices") {
-            axisErr = parseAxis<std::string>(
-                value, "device",
-                [](const std::string &n, std::string &o) {
-                    if (!findDramDevice(n))
-                        return false;
-                    o = n;
-                    return true;
-                },
-                out.devices);
-        } else if (key == "scheduler" || key == "schedulers") {
-            axisErr = parseAxis<SchedulerKind>(value, "scheduler",
-                                               trySchedulerKindFromName,
-                                               out.schedulers);
-        } else if (key == "policy" || key == "policies") {
-            axisErr = parseAxis<PagePolicyKind>(value, "page policy",
-                                                tryPagePolicyKindFromName,
-                                                out.policies);
-        } else if (key == "mapping" || key == "mappings") {
-            axisErr = parseAxis<MappingScheme>(value, "mapping scheme",
-                                               tryMappingSchemeFromName,
-                                               out.mappings);
-        } else if (key == "group_mapping" || key == "group_mappings") {
-            axisErr = parseAxis<BankGroupMapping>(
-                value, "bank-group mapping",
-                tryBankGroupMappingFromName, out.groupMappings);
-        } else if (key == "workload" || key == "workloads") {
-            axisErr = parseAxis<WorkloadId>(value, "workload",
-                                            tryWorkloadFromName,
-                                            out.workloads);
-        } else if (key == "channels") {
-            axisErr = parseAxis<std::uint32_t>(
-                value, "channel count",
-                [](const std::string &n, std::uint32_t &o) {
-                    std::uint64_t v = 0;
-                    if (!parseUint(n, v) || v == 0 || !isPowerOf2(v))
-                        return false;
-                    o = static_cast<std::uint32_t>(v);
-                    return true;
-                },
-                out.channelCounts);
-        } else if (key == "core_mhz") {
-            std::uint64_t v = 0;
-            if (!parseUint(value, v) || v == 0 || v > 1'000'000)
-                return err("core_mhz needs an integer in [1, 1000000] "
-                           "MHz, got '" +
-                           value + "'");
-            out.base.setCoreMhz(static_cast<std::uint32_t>(v));
-        } else if (key == "warmup") {
-            std::uint64_t v = 0;
-            if (!parseUint(value, v))
-                return err("warmup needs a cycle count, got '" + value +
-                           "'");
-            out.base.warmupCoreCycles = v;
-        } else if (key == "measure") {
-            std::uint64_t v = 0;
-            if (!parseUint(value, v) || v == 0)
-                return err("measure needs a nonzero cycle count, got '" +
-                           value + "'");
-            out.base.measureCoreCycles = v;
-        } else if (key == "seed") {
-            std::uint64_t v = 0;
-            if (!parseUint(value, v))
-                return err("seed needs an integer, got '" + value + "'");
-            out.base.seed = v;
-        } else if (key == "refresh") {
-            if (value == "on")
-                out.base.refreshEnabled = true;
-            else if (value == "off")
-                out.base.refreshEnabled = false;
-            else
-                return err("refresh must be 'on' or 'off', got '" + value +
-                           "'");
-        } else if (key == "fairness") {
-            if (value == "on")
-                out.fairness = true;
-            else if (value == "off")
-                out.fairness = false;
-            else
-                return err("fairness must be 'on' or 'off', got '" +
-                           value + "'");
-        } else if (key == "backend") {
-            out.hasBackend = true;
-            if (value == "flat")
-                out.backendKind = MemBackendKind::FlatDram;
-            else if (value == "stacked")
-                out.backendKind = MemBackendKind::StackedDram;
-            else
-                return err("backend must be 'flat' or 'stacked', got '" +
-                           value + "'");
-        } else if (key == "vaults") {
-            axisErr = parseAxis<std::uint32_t>(
-                value, "vault count",
-                [](const std::string &n, std::uint32_t &o) {
-                    std::uint64_t v = 0;
-                    if (!parseUint(n, v) || v == 0 || !isPowerOf2(v))
-                        return false;
-                    o = static_cast<std::uint32_t>(v);
-                    return true;
-                },
-                out.vaultCounts);
-        } else if (key == "remap") {
-            out.hasRemap = true;
-            if (value == "on")
-                out.base.remap.enabled = true;
-            else if (value == "off")
-                out.base.remap.enabled = false;
-            else
-                return err("remap must be 'on' or 'off', got '" + value +
-                           "'");
-        } else if (key == "tier") {
-            out.hasTier = true;
-            if (value == "on")
-                out.base.tier.enabled = true;
-            else if (value == "off")
-                out.base.tier.enabled = false;
-            else
-                return err("tier must be 'on' or 'off', got '" + value +
-                           "'");
-        } else if (key == "tier_policy") {
-            if (out.tierOnlyKey.empty())
-                out.tierOnlyKey = key;
-            if (!tryTierPolicyFromName(value, out.base.tier.policy))
-                return err("tier_policy must be 'static_split', "
-                           "'hotness_based', or 'alloy_cache', got '" +
-                           value + "'");
-        } else if (key == "tier_latency") {
-            if (out.tierOnlyKey.empty())
-                out.tierOnlyKey = key;
-            std::uint64_t v = 0;
-            if (!parseUint(value, v) || v > 1'000'000)
-                return err("tier_latency needs a DRAM cycle count in "
-                           "[0, 1000000], got '" +
-                           value + "'");
-            out.base.tier.slowLatencyDramCycles =
-                static_cast<std::uint32_t>(v);
-        } else if (key == "tier_bw") {
-            if (out.tierOnlyKey.empty())
-                out.tierOnlyKey = key;
-            std::uint64_t v = 0;
-            if (!parseUint(value, v) || v == 0 || v > 100)
-                return err("tier_bw needs a percentage in [1, 100], "
-                           "got '" +
-                           value + "'");
-            out.base.tier.slowBwPct = static_cast<std::uint32_t>(v);
-        } else if (key == "tier_capacity_pct") {
-            if (out.tierOnlyKey.empty())
-                out.tierOnlyKey = key;
-            std::uint64_t v = 0;
-            if (!parseUint(value, v) || v == 0 || v > 100)
-                return err("tier_capacity_pct needs a percentage in "
-                           "[1, 100], got '" +
-                           value + "'");
-            out.base.tier.fastCapacityPct = static_cast<std::uint32_t>(v);
-        } else if (key == "tier_hot_factor") {
-            if (out.tierOnlyKey.empty())
-                out.tierOnlyKey = key;
-            char *end = nullptr;
-            const double v = std::strtod(value.c_str(), &end);
-            if (end != value.c_str() + value.size() || !(v > 0.0))
-                return err("tier_hot_factor needs a number > 0, got '" +
-                           value + "'");
-            out.base.tier.hotFactor = v;
-        } else if (key == "tier_migration_cycles") {
-            if (out.tierOnlyKey.empty())
-                out.tierOnlyKey = key;
-            std::uint64_t v = 0;
-            if (!parseUint(value, v) || v == 0 || v > 1'000'000)
-                return err("tier_migration_cycles needs a DRAM cycle "
-                           "count in [1, 1000000], got '" +
-                           value + "'");
-            out.base.tier.migrationCyclesPerRow =
-                static_cast<std::uint32_t>(v);
-        } else if (key == "monitor_sample") {
-            if (out.tierOnlyKey.empty())
-                out.tierOnlyKey = key;
-            std::uint64_t v = 0;
-            if (!parseUint(value, v) || v == 0 || v > 1'000'000)
-                return err("monitor_sample needs an integer in "
-                           "[1, 1000000], got '" +
-                           value + "'");
-            out.base.tier.monitorSampleEvery =
-                static_cast<std::uint32_t>(v);
-        } else if (key == "monitor_window") {
-            if (out.tierOnlyKey.empty())
-                out.tierOnlyKey = key;
-            std::uint64_t v = 0;
-            if (!parseUint(value, v) || v == 0 || v > 100'000'000)
-                return err("monitor_window needs an integer in "
-                           "[1, 100000000], got '" +
-                           value + "'");
-            out.base.tier.monitorWindowSamples =
-                static_cast<std::uint32_t>(v);
-        } else if (key == "monitor_min_regions") {
-            if (out.tierOnlyKey.empty())
-                out.tierOnlyKey = key;
-            std::uint64_t v = 0;
-            if (!parseUint(value, v) || v == 0 || v > 1'000'000)
-                return err("monitor_min_regions needs an integer in "
-                           "[1, 1000000], got '" +
-                           value + "'");
-            out.base.tier.monitorMinRegions =
-                static_cast<std::uint32_t>(v);
-        } else if (key == "monitor_max_regions") {
-            if (out.tierOnlyKey.empty())
-                out.tierOnlyKey = key;
-            std::uint64_t v = 0;
-            if (!parseUint(value, v) || v == 0 || v > 1'000'000)
-                return err("monitor_max_regions needs an integer in "
-                           "[1, 1000000], got '" +
-                           value + "'");
-            out.base.tier.monitorMaxRegions =
-                static_cast<std::uint32_t>(v);
-        } else {
-            return err("unknown key '" + key + "'");
-        }
-        if (!axisErr.empty())
-            return err(axisErr);
+    for (const SpecKey &k : kSpecKeys) {
+        if (key == k.name || (k.alias && key == k.alias))
+            return &k;
     }
+    return nullptr;
+}
 
+std::string
+applySpecKey(ExperimentSpec &spec, const std::string &key,
+             const std::string &value)
+{
+    const SpecKey *k = findSpecKey(key);
+    if (!k)
+        return "unknown key '" + key + "'";
+    const std::string err = k->apply(spec, value);
+    if (!err.empty())
+        return key + " " + err;
+    if (k->scope == SpecScope::Stacked && spec.stackedOnlyKey.empty())
+        spec.stackedOnlyKey = k->name;
+    if (k->scope == SpecScope::Tiered && spec.tierOnlyKey.empty())
+        spec.tierOnlyKey = k->name;
+    return {};
+}
+
+std::string
+applySpecFile(const std::string &path, ExperimentSpec &spec)
+{
+    std::ifstream in(path);
+    if (!in)
+        return "cannot open spec file '" + path + "'";
+    std::ostringstream text;
+    text << in.rdbuf();
+    return applySpecText(text.str(), spec);
+}
+
+std::string
+finishSpec(ExperimentSpec &spec)
+{
     // `backend = stacked` with no device axis selects the stacked
     // reference part; `flat` is just an assertion over the sweep.
-    if (out.hasBackend &&
-        out.backendKind == MemBackendKind::StackedDram &&
-        out.devices.empty()) {
-        out.base.applyDevice(dramDeviceOrDie("HMC2-8GB"));
+    if (spec.hasBackend &&
+        spec.backendKind == MemBackendKind::StackedDram &&
+        spec.devices.empty()) {
+        spec.base.applyDevice(dramDeviceOrDie("HMC2-8GB"));
     }
 
     // Reconcile the backend key and the stacked-only keys against the
@@ -421,35 +422,31 @@ parseExperimentSpec(const std::string &text, ExperimentSpec &out)
     // or vault knob on a flat part would masquerade as a null result,
     // so each mismatch is a named error.
     const std::vector<std::string> effDevs =
-        out.devices.empty() ? std::vector<std::string>{out.base.deviceName}
-                            : out.devices;
+        spec.devices.empty()
+            ? std::vector<std::string>{spec.base.deviceName}
+            : spec.devices;
     for (const std::string &d : effDevs) {
         const bool stacked =
             dramDeviceOrDie(d).geometry.vaultsPerStack > 0;
-        if (out.hasBackend &&
-            out.backendKind == MemBackendKind::StackedDram && !stacked) {
+        if (spec.hasBackend &&
+            spec.backendKind == MemBackendKind::StackedDram && !stacked) {
             return "backend = stacked, but device '" + d +
                    "' is a flat JEDEC part";
         }
-        if (out.hasBackend &&
-            out.backendKind == MemBackendKind::FlatDram && stacked) {
+        if (spec.hasBackend &&
+            spec.backendKind == MemBackendKind::FlatDram && stacked) {
             return "backend = flat, but device '" + d +
-                   "' is a stacked part";
+                   "' is a stacked part (a stacked device always "
+                   "composes the stacked backend)";
         }
-        if (out.hasRemap && !stacked) {
-            return "remap applies to the stacked backend only, but "
-                   "device '" +
-                   d + "' is a flat JEDEC part (set backend = stacked "
-                       "or pick a stacked device)";
-        }
-        if (!out.vaultCounts.empty() && !stacked) {
-            return "vaults applies to the stacked backend only, but "
-                   "device '" +
+        if (!spec.stackedOnlyKey.empty() && !stacked) {
+            return spec.stackedOnlyKey +
+                   " applies to the stacked backend only, but device '" +
                    d + "' is a flat JEDEC part (set backend = stacked "
                        "or pick a stacked device)";
         }
     }
-    for (std::uint32_t vc : out.vaultCounts) {
+    for (std::uint32_t vc : spec.vaultCounts) {
         for (const std::string &d : effDevs) {
             const DramGeometry &g = dramDeviceOrDie(d).geometry;
             if (std::uint64_t(g.rowsPerBank) * g.vaultsPerStack % vc != 0)
@@ -461,49 +458,54 @@ parseExperimentSpec(const std::string &text, ExperimentSpec &out)
     // The tiered-only keys mirror the stacked-only ones: a tier_* or
     // monitor_* knob on a config that never composes the tiered
     // backend would be silently ignored, so it is a named error.
-    if (!out.tierOnlyKey.empty() && !out.base.tier.enabled) {
-        return "'" + out.tierOnlyKey +
+    if (!spec.tierOnlyKey.empty() && !spec.base.tier.enabled) {
+        return "'" + spec.tierOnlyKey +
                "' applies to the tiered backend only, but the spec "
                "does not enable it (put 'tier = on' first)";
     }
-    if (out.base.tier.enabled &&
-        out.base.tier.monitorMaxRegions < out.base.tier.monitorMinRegions) {
+    const TierConfig &tier = spec.base.tier;
+    if (tier.enabled && tier.monitorMaxRegions < tier.monitorMinRegions) {
         return "monitor_max_regions (" +
-               std::to_string(out.base.tier.monitorMaxRegions) +
+               std::to_string(tier.monitorMaxRegions) +
                ") must be >= monitor_min_regions (" +
-               std::to_string(out.base.tier.monitorMinRegions) + ")";
+               std::to_string(tier.monitorMinRegions) + ")";
     }
 
     // Single-valued axes also shape the base config so a spec doubles
     // as a plain configuration file for one-off runs.
-    if (out.devices.size() == 1)
-        out.base.applyDevice(dramDeviceOrDie(out.devices.front()));
-    if (out.schedulers.size() == 1)
-        out.base.scheduler = out.schedulers.front();
-    if (out.policies.size() == 1)
-        out.base.pagePolicy = out.policies.front();
-    if (out.mappings.size() == 1)
-        out.base.mapping = out.mappings.front();
-    if (out.groupMappings.size() == 1)
-        out.base.bankGroupMapping = out.groupMappings.front();
-    if (out.channelCounts.size() == 1)
-        out.base.dram.channels = out.channelCounts.front();
+    if (spec.devices.size() == 1)
+        spec.base.applyDevice(dramDeviceOrDie(spec.devices.front()));
+    if (spec.schedulers.size() == 1)
+        spec.base.scheduler = spec.schedulers.front();
+    if (spec.policies.size() == 1)
+        spec.base.pagePolicy = spec.policies.front();
+    if (spec.mappings.size() == 1)
+        spec.base.mapping = spec.mappings.front();
+    if (spec.groupMappings.size() == 1)
+        spec.base.bankGroupMapping = spec.groupMappings.front();
+    if (spec.channelCounts.size() == 1)
+        spec.base.dram.channels = spec.channelCounts.front();
     // (Guarded: with a multi-device stacked sweep the base config is
     // not any one device's, so the vault override applies per point.)
-    if (out.vaultCounts.size() == 1 && out.base.dram.vaultsPerStack > 0)
-        out.base.setVaults(out.vaultCounts.front());
+    if (spec.vaultCounts.size() == 1 && spec.base.dram.vaultsPerStack > 0)
+        spec.base.setVaults(spec.vaultCounts.front());
     return {};
+}
+
+std::string
+parseExperimentSpec(const std::string &text, ExperimentSpec &out)
+{
+    out = ExperimentSpec{};
+    const std::string err = applySpecText(text, out);
+    return err.empty() ? finishSpec(out) : err;
 }
 
 std::string
 loadExperimentSpec(const std::string &path, ExperimentSpec &out)
 {
-    std::ifstream in(path);
-    if (!in)
-        return "cannot open spec file '" + path + "'";
-    std::ostringstream text;
-    text << in.rdbuf();
-    return parseExperimentSpec(text.str(), out);
+    out = ExperimentSpec{};
+    const std::string err = applySpecFile(path, out);
+    return err.empty() ? finishSpec(out) : err;
 }
 
 } // namespace mcsim

@@ -6,63 +6,17 @@
  *
  * Format: one `key = value` pair per line; `#` starts a comment;
  * blank lines are ignored. Sweep-axis keys accept comma-separated
- * lists and expand into a full cross product. Keys:
+ * lists and expand into a full cross product; plural aliases
+ * (devices, schedulers, ...) are accepted for readability. Every axis
+ * defaults to the baseline's single value, so an empty file describes
+ * exactly one Table 2 run.
  *
- *   device    = DDR3-1600[, DDR4-2400, ...]   registry names
- *   scheduler = FR-FCFS[, ATLAS, ...]
- *   policy    = OpenAdaptive[, Close, ...]
- *   mapping   = RoRaBaCoCh[, PermBaXor, ...]
- *   group_mapping = GroupInterleaved[, GroupPacked]
- *                                             bank-group bit placement
- *                                             (short forms interleaved
- *                                             / packed accepted)
- *   channels  = 1[, 2, 4]                     powers of two
- *   workload  = WS[, DS, ...]                 paper acronyms
- *   core_mhz  = 2000                          scalar only
- *   warmup    = 2000000                       core cycles, scalar
- *   measure   = 8000000                       core cycles, scalar
- *   seed      = 1                             scalar
- *   refresh   = on | off                      scalar
- *   fairness  = on | off                      scalar; attach alone-run
- *                                             baselines to every point
- *   backend   = flat | stacked                scalar; asserts the memory
- *                                             backend every swept device
- *                                             composes. `stacked` with no
- *                                             device axis selects the
- *                                             HMC2-8GB registry entry.
- *   vaults    = 16[, 8, 4]                    stacked only: vault-count
- *                                             sweep (powers of two,
- *                                             capacity-preserving)
- *   remap     = on | off                      stacked only: dynamic
- *                                             hot-bank vault remapping
- *   tier      = on | off                      compose the device with a
- *                                             slow CXL/NVM-like second
- *                                             tier (TieredMemBackend)
- *   tier_policy = hotness_based               static_split |
- *                                             hotness_based | alloy_cache
- *   tier_latency = 96                         extra slow-tier read
- *                                             return latency, DRAM cycles
- *   tier_bw   = 50                            slow-tier service rate,
- *                                             percent of fast, [1,100]
- *   tier_capacity_pct = 50                    fast tier's share of the
- *                                             address space, [1,100]
- *   tier_hot_factor = 2.0                     promote when hot density >
- *                                             factor * cold density
- *   tier_migration_cycles = 64                DRAM cycles per migrated row
- *   monitor_sample = 4                        count every Nth access
- *   monitor_window = 2048                     counted samples per window
- *   monitor_min_regions = 16                  region-count floor
- *   monitor_max_regions = 256                 region-count ceiling
- *
- * The stacked-only keys (`vaults`, `remap`) are rejected with a named
- * error when any swept device is a flat JEDEC part, and the
- * tiered-only keys (`tier_*`, `monitor_*`) are rejected unless
- * `tier = on` is set — a silently ignored knob would masquerade as a
- * null result.
- *
- * Plural aliases (devices, schedulers, policies, mappings, workloads)
- * are accepted for readability. Every axis defaults to the baseline's
- * single value, so an empty file describes exactly one Table 2 run.
+ * Every key is declared once, in kSpecKeys (spec.cc): name, alias,
+ * value syntax, scope and parser. `run_experiment --help` prints the
+ * table, and each key doubles as the flag `--key-name value`. A
+ * stacked-scope key is a named error when any swept device is a flat
+ * JEDEC part, and a tiered-scope key is one unless `tier = on` is set
+ * — a silently ignored knob would masquerade as a null result.
  */
 
 #ifndef CLOUDMC_SIM_SPEC_HH
@@ -97,14 +51,11 @@ struct ExperimentSpec
      *  compose this backend kind (parse fails otherwise). */
     bool hasBackend = false;
     MemBackendKind backendKind = MemBackendKind::FlatDram;
-    /** The `remap` key was present (its value lives in
-     *  base.remap.enabled); stacked-only, parse fails on flat. */
-    bool hasRemap = false;
-    /** The `tier` key was present (its value lives in
-     *  base.tier.enabled). */
-    bool hasTier = false;
-    /** First tiered-only key seen (tier_policy, tier_latency, ...);
-     *  parse fails when one is present without `tier = on`. */
+    /** First stacked-scope key seen (vaults, remap); finishSpec fails
+     *  when one is present and a swept device is flat. */
+    std::string stackedOnlyKey;
+    /** First tiered-scope key seen (tier_policy, monitor_window, ...);
+     *  finishSpec fails when one is present without `tier = on`. */
     std::string tierOnlyKey;
 
     /** Attach single-core alone-run baselines to every point so the
@@ -122,6 +73,52 @@ struct ExperimentSpec
      */
     std::vector<ExperimentRunner::Point> points() const;
 };
+
+/** Where a key applies; outside its scope a key is a named error. */
+enum class SpecScope
+{
+    Any,
+    Stacked, ///< Every swept device must be a stacked part.
+    Tiered,  ///< The spec must set `tier = on`.
+};
+
+/** One spec key, which is also the run_experiment flag `--name`
+ *  (underscores written as dashes). */
+struct SpecKey
+{
+    const char *name;
+    const char *alias; ///< Plural form, or nullptr.
+    const char *help;  ///< Value syntax, then meaning; one line.
+    SpecScope scope;
+    /** Parse @p value into the spec: "" on success, else the error
+     *  (the caller prefixes the key). */
+    std::string (*apply)(ExperimentSpec &, const std::string &value);
+};
+
+/** Every spec key, in --help order. */
+extern const std::vector<SpecKey> kSpecKeys;
+
+/** The kSpecKeys entry named (or aliased) @p key, or nullptr. */
+const SpecKey *findSpecKey(const std::string &key);
+
+/**
+ * Apply one `key = value` pair onto @p spec (the last write of a key
+ * wins) and record the first stacked- or tiered-scope key. Returns ""
+ * or the error; cross-key checks wait for finishSpec().
+ */
+std::string applySpecKey(ExperimentSpec &spec, const std::string &key,
+                         const std::string &value);
+
+/** Apply a spec file's lines onto @p spec, in order, without
+ *  resetting it; errors are "line N: ..." or an unopenable file. */
+std::string applySpecFile(const std::string &path, ExperimentSpec &spec);
+
+/**
+ * Run once after the last key: reconcile backend, devices and the
+ * scoped keys, check vault capacity and monitor bounds, and shape
+ * `base` from the single-valued axes. Returns "" or the error.
+ */
+std::string finishSpec(ExperimentSpec &spec);
 
 /**
  * Parse spec text. Returns an empty string on success, otherwise a

@@ -13,12 +13,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/worker_pool.hh"
 #include "sim/experiment.hh"
+#include "sim/spec.hh"
 #include "sim/system.hh"
 #include "workload/synthetic.hh"
 
@@ -690,6 +693,75 @@ TEST(ExperimentCache, KeySeparatesWindowsToTheCycle)
     EXPECT_NE(kb, kl);
     EXPECT_NE(kb, kw);
     EXPECT_NE(kl, kw);
+}
+
+TEST(ExperimentCache, KeySeparatesEverySpecKey)
+{
+    // Every spec key must reach the cache key: a knob the fingerprint
+    // missed would let two configurations share one cached row. Each
+    // entry is a legal non-default value plus the context it needs.
+    const char *tiered = "tier = on\n";
+    const char *stacked = "device = HMC2-8GB\n";
+    struct Probe
+    {
+        const char *value;
+        const char *context;
+    };
+    const std::map<std::string, Probe> probes = {
+        {"device", {"DDR4-2400", ""}},
+        {"scheduler", {"TCM", ""}},
+        {"policy", {"Close", ""}},
+        {"mapping", {"PermBaXor", ""}},
+        // Single-group devices normalize the placement away.
+        {"group_mapping", {"GroupPacked", "device = DDR4-2400\n"}},
+        {"channels", {"2", ""}},
+        {"workload", {"WS", ""}},
+        {"core_mhz", {"3000", ""}},
+        {"warmup", {"1234567", ""}},
+        {"measure", {"7654321", ""}},
+        {"seed", {"7", ""}},
+        {"refresh", {"off", ""}},
+        {"backend", {"stacked", ""}},
+        {"vaults", {"8", stacked}},
+        {"remap", {"on", stacked}},
+        {"tier", {"on", ""}},
+        {"tier_policy", {"alloy_cache", tiered}},
+        {"tier_latency", {"200", tiered}},
+        {"tier_bw", {"25", tiered}},
+        {"tier_capacity_pct", {"25", tiered}},
+        {"tier_hot_factor", {"3.5", tiered}},
+        {"tier_migration_cycles", {"32", tiered}},
+        {"monitor_sample", {"8", tiered}},
+        {"monitor_window", {"512", tiered}},
+        {"monitor_min_regions", {"8", tiered}},
+        {"monitor_max_regions", {"128", tiered}},
+    };
+
+    // A new key cannot skip this test. `fairness` is the one
+    // exception: it attaches alone-run baselines, not a SimConfig
+    // change.
+    std::set<std::string> tableNames, probeNames = {"fairness"};
+    for (const SpecKey &k : kSpecKeys)
+        tableNames.insert(k.name);
+    for (const auto &p : probes)
+        probeNames.insert(p.first);
+    EXPECT_EQ(tableNames, probeNames);
+
+    const auto keyOf = [](const std::string &text) {
+        ExperimentSpec spec;
+        EXPECT_EQ(parseExperimentSpec(text, spec), "") << text;
+        const auto points = spec.points();
+        EXPECT_EQ(points.size(), 1u) << text;
+        return points.empty() ? std::string()
+                              : ExperimentRunner::configKey(
+                                    points[0].workload, points[0].cfg);
+    };
+    for (const auto &[name, probe] : probes) {
+        const std::string context = probe.context;
+        EXPECT_NE(keyOf(context),
+                  keyOf(context + name + " = " + probe.value + "\n"))
+            << name << " = " << probe.value;
+    }
 }
 
 TEST(ExperimentCache, KeyCarriesModelVersion)

@@ -30,6 +30,8 @@
 #include "common/random.hh"
 #include "dram/devices.hh"
 #include "mem/factory.hh"
+#include "sim/options.hh"
+#include "sim/spec.hh"
 #include "sim/system.hh"
 #include "workload/presets.hh"
 
@@ -253,3 +255,48 @@ TEST_P(KernelFuzz, EventAndReferenceKernelsAgreeOnRandomConfig)
 
 INSTANTIATE_TEST_SUITE_P(SixtyFourSeededConfigs, KernelFuzz,
                          ::testing::Range<std::uint64_t>(0, 64));
+
+TEST(KernelFuzzRepro, SpecStringReproducesTheDrawnConfig)
+{
+    // The printed repro must replay the exact drawn point, both as a
+    // spec file and as the equivalent `--key value` flags. Runs no
+    // simulation: equal cache keys mean equal configurations.
+    for (std::uint64_t index = 0; index < 64; ++index) {
+        const FuzzConfig f = drawConfig(index);
+        const std::string text = f.specString();
+        SCOPED_TRACE(text);
+        const std::string want =
+            ExperimentRunner::configKey(f.workload, f.cfg);
+
+        ExperimentSpec spec;
+        ASSERT_EQ(parseExperimentSpec(text, spec), "");
+        const auto points = spec.points();
+        ASSERT_EQ(points.size(), 1u);
+        EXPECT_EQ(points[0].workload, f.workload);
+        EXPECT_EQ(ExperimentRunner::configKey(points[0].workload,
+                                              points[0].cfg),
+                  want);
+
+        // `key_name = value` -> `--key-name value`.
+        std::vector<std::string> args;
+        std::istringstream lines(text);
+        std::string line;
+        while (std::getline(lines, line)) {
+            const std::size_t eq = line.find(" = ");
+            ASSERT_NE(eq, std::string::npos) << line;
+            std::string key = line.substr(0, eq);
+            std::replace(key.begin(), key.end(), '_', '-');
+            args.push_back("--" + key);
+            args.push_back(line.substr(eq + 3));
+        }
+        std::vector<char *> argv;
+        for (std::string &a : args)
+            argv.push_back(a.data());
+        ExperimentOptions opts;
+        ASSERT_EQ(opts.parse(static_cast<int>(argv.size()), argv.data()),
+                  "");
+        EXPECT_EQ(opts.workload, f.workload);
+        EXPECT_EQ(ExperimentRunner::configKey(opts.workload, opts.config),
+                  want);
+    }
+}

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <fstream>
@@ -335,4 +336,88 @@ TEST(Options, ListShowsBackendAndVaultColumns)
         << l;
     EXPECT_NE(l.find("tTSV"), std::string::npos) << l;
     EXPECT_NE(l.find("HMC2-8GB"), std::string::npos) << l;
+}
+
+TEST(Options, FlagsBeforeConfigAreKept)
+{
+    // Flags and --config lines apply in argv order: a file that sets
+    // only the workload must not reset earlier flags to the baseline.
+    const std::string path = std::string(::testing::TempDir()) +
+                             "/cloudmc_optspec_order.spec";
+    {
+        std::ofstream out(path);
+        out << "workload = WS\n";
+    }
+    ExperimentOptions opts;
+    EXPECT_EQ(parseArgs(opts, {"--seed", "5", "--channels", "2",
+                               "--config", path}),
+              "");
+    EXPECT_EQ(opts.config.seed, 5u);
+    EXPECT_EQ(opts.config.dram.channels, 2u);
+    EXPECT_EQ(opts.workload, WorkloadId::WS);
+    ASSERT_EQ(opts.spec.points().size(), 1u);
+    EXPECT_EQ(opts.spec.points()[0].cfg.seed, 5u);
+    EXPECT_EQ(opts.spec.points()[0].cfg.dram.channels, 2u);
+    std::remove(path.c_str());
+}
+
+TEST(Options, StackedBackendOnFlatDeviceIsANamedError)
+{
+    // Same named error as the spec lines `device = DDR4-2400` +
+    // `backend = stacked`, never a silent switch to the stacked part.
+    ExperimentOptions opts;
+    const std::string err = parseArgs(
+        opts, {"--device", "DDR4-2400", "--backend", "stacked"});
+    EXPECT_NE(err.find("DDR4-2400"), std::string::npos) << err;
+    EXPECT_NE(err.find("flat JEDEC part"), std::string::npos) << err;
+}
+
+TEST(Options, ScopeChecksIgnoreFlagOrder)
+{
+    ExperimentOptions opts;
+    EXPECT_EQ(parseArgs(opts, {"--tier-latency", "64", "--tier", "on"}),
+              "");
+    EXPECT_TRUE(opts.config.tier.enabled);
+    EXPECT_EQ(opts.config.tier.slowLatencyDramCycles, 64u);
+
+    ExperimentOptions stacked;
+    EXPECT_EQ(parseArgs(stacked, {"--vaults", "8", "--device",
+                                  "HMC2-8GB"}),
+              "");
+    EXPECT_EQ(stacked.config.dram.vaultsPerStack, 8u);
+}
+
+TEST(Options, EverySpecKeyIsAFlagInUsage)
+{
+    const std::string u = ExperimentOptions::usage("tool");
+    for (const SpecKey &k : kSpecKeys) {
+        std::string flag = std::string("--") + k.name;
+        std::replace(flag.begin(), flag.end(), '_', '-');
+        EXPECT_NE(u.find(flag + " "), std::string::npos) << flag;
+    }
+    // The flag spelling uses dashes only.
+    ExperimentOptions opts;
+    EXPECT_NE(parseArgs(opts, {"--tier", "on", "--tier_bw", "50"}), "");
+}
+
+TEST(Options, ListFlagsSweepWithoutASpecFile)
+{
+    ExperimentOptions opts;
+    EXPECT_EQ(parseArgs(opts, {"--scheduler", "FR-FCFS,ATLAS", "WS"}),
+              "");
+    EXPECT_FALSE(opts.hasSpec);
+    EXPECT_EQ(opts.spec.pointCount(), 2u);
+}
+
+TEST(Options, FairnessFlagTakesAnOptionalValue)
+{
+    ExperimentOptions on;
+    EXPECT_EQ(parseArgs(on, {"--fairness", "WS"}), "");
+    EXPECT_TRUE(on.fairness);
+    EXPECT_EQ(on.workload, WorkloadId::WS);
+
+    ExperimentOptions off;
+    EXPECT_EQ(parseArgs(off, {"--fairness", "--fairness", "off"}), "");
+    EXPECT_FALSE(off.fairness);
+    EXPECT_FALSE(off.spec.fairness);
 }
