@@ -15,8 +15,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "bench_common.hh"
 
@@ -64,12 +62,7 @@ printStudy(const char *title,
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--fast") == 0 && i + 1 < argc)
-            setenv("CLOUDMC_FAST", argv[++i], 1);
-        else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-            setenv("CLOUDMC_THREADS", argv[++i], 1);
-    }
+    bench::sweepFlags(argc, argv);
     ExperimentRunner runner;
 
     // 1. Extension schedulers.
@@ -106,10 +99,6 @@ main(int argc, char **argv)
             SimConfig cfg = SimConfig::baseline();
             cfg.controller.writeDrainHigh = high;
             cfg.controller.writeDrainLow = low;
-            // The drain watermarks are not part of the cache key, so
-            // bypass the cache by perturbing the (cached) seed space:
-            // use a distinct seed per watermark configuration.
-            cfg.seed = 1000 + high * 10 + low;
             configs.emplace_back(
                 "drain" + std::to_string(high) + "/" +
                     std::to_string(low),

@@ -17,8 +17,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "bench_common.hh"
 
@@ -36,12 +34,7 @@ constexpr std::array<std::uint32_t, 3> kMlpWindows = {1, 4, 8};
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--fast") == 0 && i + 1 < argc)
-            setenv("CLOUDMC_FAST", argv[++i], 1);
-        else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-            setenv("CLOUDMC_THREADS", argv[++i], 1);
-    }
+    bench::sweepFlags(argc, argv);
     ExperimentRunner runner;
 
     // Simulate every point of both parts in one parallel batch; the

@@ -3,8 +3,8 @@
  * Dynamic-remap ablation on the stacked backend: Zipf-skewed
  * vault/bank traffic, remap off vs on.
  *
- * The driver is a custom workload that draws (vault, bank) slots from
- * a Zipfian distribution (item 0 hottest) and maps slot index i to
+ * The driver is a ZipfTraffic that draws (vault, bank) slots from a
+ * Zipfian distribution (item 0 hottest) and maps slot index i to
  * vault i / banks, bank i % banks — so the hottest slots all live in
  * vault 0, the next-hottest in vault 1, and so on. That concentrates
  * queue pressure on the low vaults exactly the way a skewed key-value
@@ -12,12 +12,14 @@
  * remapping on, the hot bank slots migrate toward cold vaults and the
  * tail read latency should come down.
  *
- * Reported per variant: IPC, mean/p99 read latency (core cycles), the
- * vault queue imbalance (peak/mean mean read-queue depth), and for the
- * remap-on run the migration counters plus the copy overhead as a
- * percentage of total per-vault DRAM cycles.
+ * The JSON stamp holds the config, every MetricSet field of both
+ * variants, the remap-on run's migration overhead and the p99
+ * improvement; stdout gets the same bytes. The overhead is the row
+ * copy time as a percentage of total per-vault DRAM cycles, a lower
+ * bound: a migration only gates the swapped slots with availableAt
+ * and moves no DRAM traffic.
  *
- * Usage: ablation_remap [--cycles N] [--theta T] [--json PATH] [--csv]
+ * Usage: ablation_remap [--cycles N] [--theta T] [--json PATH]
  *        (defaults: 1M measured core cycles, theta 0.99,
  *        BENCH_remap.json)
  *
@@ -26,162 +28,45 @@
  * remap-on p99 fails to beat remap-off) arms only on full-length runs:
  * a /50 smoke closes too few remap windows for the gate to be
  * meaningful there.
- *
- * Entries are stamped with the git SHA (same resolution chain as
- * kernel_smoke: CLOUDMC_GIT_SHA, GITHUB_SHA, live `git rev-parse`,
- * the configure-time SHA, "unknown").
  */
 
-#include <cctype>
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
-#include <vector>
 
-#include "common/random.hh"
+#include "bench_common.hh"
 #include "dram/devices.hh"
 #include "mem/address_mapping.hh"
 #include "sim/system.hh"
-#include "workload/workload.hh"
 
 using namespace mcsim;
 
 namespace {
 
-/**
- * Zipf-skewed stacked-DRAM traffic. All state is per-core (each core
- * owns its RNG stream), so tryNextOpLocal can always succeed and the
- * stream is identical under every kernel.
- */
-class ZipfVaultTraffic final : public WorkloadGenerator
-{
-  public:
-    ZipfVaultTraffic(const SimConfig &cfg, std::uint32_t numCores,
-                     double theta, double memProb)
-        : geom_(flattened(cfg.dram)),
-          mapper_(geom_, cfg.mapping, cfg.bankGroupMapping),
-          banks_(geom_.banksPerRank),
-          zipf_(static_cast<std::uint64_t>(geom_.channels) * banks_,
-                theta),
-          memProb_(memProb)
-    {
-        for (std::uint32_t c = 0; c < numCores; ++c) {
-            CoreState cs;
-            cs.rng.reseed(cfg.seed, 0x5851f42d4c957f2dULL + c);
-            cores_.push_back(cs);
-        }
-    }
-
-    const char *name() const override { return "ZipfVault"; }
-
-    Op nextOp(CoreId core) override { return draw(cores_[core]); }
-
-    bool
-    tryNextOpLocal(CoreId core, Op &out) override
-    {
-        out = draw(cores_[core]);
-        return true;
-    }
-
-    Addr
-    nextFetchBlock(CoreId core) override
-    {
-        // A small per-core code loop: misses once, then lives in L1I.
-        CoreState &cs = cores_[core];
-        const std::uint64_t block =
-            (static_cast<std::uint64_t>(core) * kCodeBlocks) +
-            (cs.codePos++ & (kCodeBlocks - 1));
-        return block * geom_.blockBytes;
-    }
-
-  private:
-    /** Blocks in one core's code loop (power of two). */
-    static constexpr std::uint64_t kCodeBlocks = 64;
-
-    struct CoreState
-    {
-        Pcg32 rng;
-        std::uint64_t codePos = 0;
-    };
-
-    /** The stacked backend's mapper view: one "channel" per vault. */
-    static DramGeometry
-    flattened(const DramGeometry &g)
-    {
-        DramGeometry flat = g;
-        flat.channels = g.channels * g.vaultsPerStack;
-        flat.ranksPerChannel = 1;
-        flat.vaultsPerStack = 0;
-        flat.validate();
-        return flat;
-    }
-
-    Op
-    draw(CoreState &cs)
-    {
-        Op op;
-        if (cs.rng.chance(memProb_)) {
-            const std::uint64_t slot = zipf_.sample(cs.rng);
-            DramCoord c;
-            c.channel = static_cast<std::uint32_t>(slot / banks_);
-            c.bank = static_cast<std::uint32_t>(slot % banks_);
-            // Random row/column within the slot: the footprint dwarfs
-            // the cache hierarchy, so nearly every reference reaches
-            // the vault's controller queue.
-            c.row = cs.rng.below64(geom_.rowsPerBank);
-            c.column = cs.rng.below(geom_.blocksPerRow());
-            op.kind = cs.rng.chance(0.3) ? Op::Kind::Store
-                                         : Op::Kind::Load;
-            op.addr = mapper_.encode(c);
-        } else {
-            op.kind = Op::Kind::Compute;
-            op.length = 1 + cs.rng.below(8);
-        }
-        return op;
-    }
-
-    DramGeometry geom_;
-    AddressMapper mapper_;
-    std::uint32_t banks_;
-    ZipfianGenerator zipf_;
-    double memProb_;
-    std::vector<CoreState> cores_;
-};
-
-/** Same resolution chain as kernel_smoke. */
-std::string
-gitSha()
-{
-    if (const char *sha = std::getenv("CLOUDMC_GIT_SHA"))
-        return sha;
-    if (const char *sha = std::getenv("GITHUB_SHA"))
-        return sha;
-    if (std::FILE *p = popen("git rev-parse HEAD 2>/dev/null", "r")) {
-        char buf[64] = {};
-        const bool got = std::fgets(buf, sizeof(buf), p) != nullptr;
-        const bool clean = pclose(p) == 0;
-        if (got && clean) {
-            std::string sha(buf);
-            while (!sha.empty() &&
-                   std::isspace(static_cast<unsigned char>(sha.back()))) {
-                sha.pop_back();
-            }
-            if (sha.size() == 40)
-                return sha;
-        }
-    }
-#ifdef CLOUDMC_GIT_SHA_CONFIGURED
-    if (CLOUDMC_GIT_SHA_CONFIGURED[0] != '\0')
-        return CLOUDMC_GIT_SHA_CONFIGURED;
-#endif
-    return "unknown";
-}
-
 MetricSet
 runOnce(const SimConfig &cfg, double theta, double memProb)
 {
-    ZipfVaultTraffic traffic(cfg, cfg.numCores, theta, memProb);
+    // The stacked backend's mapper view: one "channel" per vault.
+    DramGeometry geom = cfg.dram;
+    geom.channels = cfg.dram.channels * cfg.dram.vaultsPerStack;
+    geom.ranksPerChannel = 1;
+    geom.vaultsPerStack = 0;
+    geom.validate();
+    const AddressMapper mapper(geom, cfg.mapping, cfg.bankGroupMapping);
+    const std::uint32_t banks = geom.banksPerRank;
+    bench::ZipfTraffic traffic(
+        cfg, cfg.numCores, std::uint64_t{geom.channels} * banks, theta,
+        memProb, "ZipfVault", [&](std::uint64_t slot, Pcg32 &rng) {
+            DramCoord c;
+            c.channel = static_cast<std::uint32_t>(slot / banks);
+            c.bank = static_cast<std::uint32_t>(slot % banks);
+            // Random row/column within the slot: the footprint dwarfs
+            // the cache hierarchy, so nearly every reference reaches
+            // the vault's controller queue.
+            c.row = rng.below64(geom.rowsPerBank);
+            c.column = rng.below(geom.blocksPerRow());
+            return mapper.encode(c);
+        });
     System sys(cfg, traffic, cfg.numCores);
     return sys.run();
 }
@@ -194,23 +79,14 @@ main(int argc, char **argv)
     std::uint64_t cycles = 1'000'000;
     double theta = 0.99;
     std::string jsonPath = "BENCH_remap.json";
-    bool csv = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--cycles") == 0 && i + 1 < argc)
-            cycles = std::strtoull(argv[++i], nullptr, 10);
-        else if (std::strcmp(argv[i], "--theta") == 0 && i + 1 < argc)
-            theta = std::strtod(argv[++i], nullptr);
-        else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            jsonPath = argv[++i];
-        else if (std::strcmp(argv[i], "--csv") == 0)
-            csv = true;
+    if (!bench::parseBenchFlags(
+            argc, argv,
+            {{"cycles", "a positive integer", bench::positiveUint(cycles)},
+             {"theta", "a Zipf skew in [0, 1)", bench::zipfTheta(theta)},
+             {"json", "a path", bench::text(jsonPath)}})) {
+        return 1;
     }
-    std::uint64_t fastDiv = 1;
-    if (const char *env = std::getenv("CLOUDMC_FAST")) {
-        const auto v = std::strtoull(env, nullptr, 10);
-        if (v >= 1)
-            fastDiv = v;
-    }
+    const std::uint64_t fastDiv = ExperimentRunner::fastDivisor();
     cycles = std::max<std::uint64_t>(cycles / fastDiv, 10'000);
 
     SimConfig cfg = SimConfig::baseline();
@@ -237,8 +113,6 @@ main(int argc, char **argv)
             ? 100.0 * (moff.readLatencyP99 - mon.readLatencyP99) /
                   moff.readLatencyP99
             : 0.0;
-    // Copy overhead: DRAM cycles spent migrating rows, as a share of
-    // the total per-vault DRAM cycles in the measurement window.
     const std::uint32_t vaults =
         cfg.dram.channels * cfg.dram.vaultsPerStack;
     const double dramCycles =
@@ -252,80 +126,21 @@ main(int argc, char **argv)
             ? 100.0 * migrationDramCycles / (dramCycles * vaults)
             : 0.0;
 
-    if (csv) {
-        std::printf("variant,ipc,read_avg_cycles,read_p99_cycles,"
-                    "vault_queue_imbalance,migrations,migrated_rows\n");
-        std::printf("remap_off,%.4f,%.1f,%.1f,%.3f,0,0\n", moff.userIpc,
-                    moff.avgReadLatency, moff.readLatencyP99,
-                    moff.vaultQueueImbalance);
-        std::printf("remap_on,%.4f,%.1f,%.1f,%.3f,%llu,%llu\n",
-                    mon.userIpc, mon.avgReadLatency, mon.readLatencyP99,
-                    mon.vaultQueueImbalance,
-                    static_cast<unsigned long long>(mon.remapMigrations),
-                    static_cast<unsigned long long>(
-                        mon.remapMigratedRows));
-    } else {
-        std::printf("remap ablation: HMC2-8GB, %u vault(s), Zipf theta "
-                    "%.2f, %llu measured core cycles\n",
-                    vaults, theta, static_cast<unsigned long long>(cycles));
-        std::printf("  remap off: IPC %.4f, read avg %.1f cy, p99 %.1f "
-                    "cy, vault imbalance %.2fx\n",
-                    moff.userIpc, moff.avgReadLatency,
-                    moff.readLatencyP99, moff.vaultQueueImbalance);
-        std::printf("  remap on:  IPC %.4f, read avg %.1f cy, p99 %.1f "
-                    "cy, vault imbalance %.2fx\n",
-                    mon.userIpc, mon.avgReadLatency, mon.readLatencyP99,
-                    mon.vaultQueueImbalance);
-        std::printf("  p99 improvement %.1f%%, %llu migrations (%llu "
-                    "rows copied, %.3f%% of DRAM cycles)\n",
-                    p99ImprovementPct,
-                    static_cast<unsigned long long>(mon.remapMigrations),
-                    static_cast<unsigned long long>(mon.remapMigratedRows),
-                    migrationOverheadPct);
-    }
-
-    std::FILE *f = std::fopen(jsonPath.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", jsonPath.c_str());
+    if (!bench::writeStamp(
+            jsonPath, "ablation_remap",
+            {{"device", '"' + cfg.deviceName + '"'},
+             {"vaults", formatMetric(std::uint64_t{vaults})},
+             {"zipf_theta", formatMetric(theta)},
+             {"measure_core_cycles", formatMetric(cycles)},
+             {"remap_window_accesses",
+              formatMetric(std::uint64_t{cfg.remap.windowAccesses})},
+             {"remap_off", metricsJson(moff, 2)},
+             {"remap_on", metricsJson(mon, 2)},
+             {"migration_overhead_lower_bound_pct",
+              formatMetric(migrationOverheadPct)},
+             {"p99_improvement_pct", formatMetric(p99ImprovementPct)}})) {
         return 1;
     }
-    std::fprintf(
-        f,
-        "{\n"
-        "  \"bench\": \"ablation_remap\",\n"
-        "  \"git_sha\": \"%s\",\n"
-        "  \"device\": \"HMC2-8GB\",\n"
-        "  \"vaults\": %u,\n"
-        "  \"zipf_theta\": %.2f,\n"
-        "  \"measure_core_cycles\": %llu,\n"
-        "  \"remap_window_accesses\": %llu,\n"
-        "  \"remap_off\": {\n"
-        "    \"ipc\": %.4f,\n"
-        "    \"read_avg_cycles\": %.2f,\n"
-        "    \"read_p99_cycles\": %.2f,\n"
-        "    \"vault_queue_imbalance\": %.3f\n"
-        "  },\n"
-        "  \"remap_on\": {\n"
-        "    \"ipc\": %.4f,\n"
-        "    \"read_avg_cycles\": %.2f,\n"
-        "    \"read_p99_cycles\": %.2f,\n"
-        "    \"vault_queue_imbalance\": %.3f,\n"
-        "    \"migrations\": %llu,\n"
-        "    \"migrated_rows\": %llu,\n"
-        "    \"migration_overhead_pct\": %.4f\n"
-        "  },\n"
-        "  \"p99_improvement_pct\": %.2f\n"
-        "}\n",
-        gitSha().c_str(), vaults, theta,
-        static_cast<unsigned long long>(cycles),
-        static_cast<unsigned long long>(cfg.remap.windowAccesses),
-        moff.userIpc, moff.avgReadLatency, moff.readLatencyP99,
-        moff.vaultQueueImbalance, mon.userIpc, mon.avgReadLatency,
-        mon.readLatencyP99, mon.vaultQueueImbalance,
-        static_cast<unsigned long long>(mon.remapMigrations),
-        static_cast<unsigned long long>(mon.remapMigratedRows),
-        migrationOverheadPct, p99ImprovementPct);
-    std::fclose(f);
 
     // The ablation's reason to exist: on a full-length run the skewed
     // traffic must see its tail improve. Short smoke runs only check

@@ -1,8 +1,9 @@
 /**
  * @file
- * Shared machinery for the per-figure bench binaries: the scheduler /
- * page-policy / channel sweeps behind the paper's figures, and the
- * table printer that emits the same rows the paper reports.
+ * Shared machinery for the bench binaries: the scheduler / page-policy
+ * / channel sweeps behind the paper's figures, the table printer that
+ * emits the same rows the paper reports, and the flag reader, Zipf
+ * traffic and JSON stamp of the single-configuration benches.
  *
  * All binaries share one on-disk results cache (see ExperimentRunner),
  * so the full simulation set runs once regardless of which bench
@@ -15,10 +16,13 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/random.hh"
 #include "common/table.hh"
 #include "sim/experiment.hh"
+#include "workload/workload.hh"
 
 namespace mcsim::bench {
 
@@ -89,15 +93,119 @@ void printFigure(const std::string &title, const std::string &metricName,
                  bool csv = false);
 
 /**
- * Standard main() body: handles --csv, --fast N and --threads N
- * flags. Studies submit their whole sweep as one ExperimentRunner
- * batch, so uncached points run on a worker pool (CLOUDMC_THREADS or
- * the hardware concurrency by default).
+ * Read the sweep benches' flags: --fast N and --threads N set
+ * CLOUDMC_FAST and CLOUDMC_THREADS for the runner. Returns whether
+ * --csv was given; other arguments are ignored.
+ */
+bool sweepFlags(int argc, char **argv);
+
+/**
+ * Standard main() body: handles the sweepFlags() flags. Studies
+ * submit their whole sweep as one ExperimentRunner batch, so uncached
+ * points run on a worker pool (CLOUDMC_THREADS or the hardware
+ * concurrency by default).
  */
 int figureMain(int argc, char **argv, const std::string &title,
                const std::string &metricName,
                std::vector<Series> (*study)(ExperimentRunner &),
                MetricFn metric, bool normalizeToFirst, int precision = 3);
+
+/**
+ * One `--name value` flag of a single-configuration bench: parse()
+ * stores the value in the bench's setting and returns false when the
+ * value is not what `what` names.
+ */
+struct BenchFlag
+{
+    const char *name;
+    const char *what; ///< "a positive integer".
+    std::function<bool(const std::string &value)> parse;
+};
+
+/** BenchFlag parsers: a nonzero unsigned, a Zipf skew in [0, 1), and
+ *  any non-empty text. */
+std::function<bool(const std::string &)> positiveUint(std::uint64_t &out);
+std::function<bool(const std::string &)> zipfTheta(double &out);
+std::function<bool(const std::string &)> text(std::string &out);
+
+/**
+ * Apply argv as `--name value` pairs. An unknown flag, a flag without
+ * a value or a value parse() rejects prints a named error
+ * ("error: --cycles needs a positive integer, got 'abc'") and returns
+ * false; the bench then exits 1.
+ */
+bool parseBenchFlags(int argc, char **argv,
+                     const std::vector<BenchFlag> &flags);
+
+/**
+ * Commit fingerprint for bench stamps. First hit wins: the
+ * CLOUDMC_GIT_SHA environment variable (explicit override),
+ * GITHUB_SHA (set by CI), `git rev-parse HEAD` run in the current
+ * directory at bench time, the SHA CMake captured at configure time
+ * (stale across commits without a reconfigure, so it ranks below the
+ * live lookup), and finally "unknown".
+ */
+std::string gitSha();
+
+/**
+ * Write a bench's JSON stamp to @p path and print the same bytes to
+ * stdout: one object holding "bench" and "git_sha", then @p members
+ * in order as `"key": value`, each value already JSON text (a
+ * formatMetric() number, a metricsJson() object, a quoted string).
+ * Returns false, after a named error, when @p path cannot be written.
+ */
+bool writeStamp(
+    const std::string &path, const char *bench,
+    const std::vector<std::pair<std::string, std::string>> &members);
+
+/**
+ * Zipf-skewed traffic for the single-configuration ablations. Each op
+ * is a memory access with probability memProb, else a 1-8 instruction
+ * compute run. An access draws its item from a Zipfian over @p items
+ * (item 0 hottest), its address inside the item from @p place, and
+ * is a store with probability 0.3. All state is per-core (each core
+ * owns its RNG stream), so tryNextOpLocal always succeeds and the
+ * stream is identical under every kernel.
+ */
+class ZipfTraffic final : public WorkloadGenerator
+{
+  public:
+    /** The address of one access inside @p item; may draw from @p rng. */
+    using Place = std::function<Addr(std::uint64_t item, Pcg32 &rng)>;
+
+    ZipfTraffic(const SimConfig &cfg, std::uint32_t cores,
+                std::uint64_t items, double theta, double memProb,
+                const char *name, Place place);
+
+    const char *name() const override { return name_; }
+
+    Op nextOp(CoreId core) override { return draw(cores_[core]); }
+
+    bool
+    tryNextOpLocal(CoreId core, Op &out) override
+    {
+        out = draw(cores_[core]);
+        return true;
+    }
+
+    Addr nextFetchBlock(CoreId core) override;
+
+  private:
+    struct CoreState
+    {
+        Pcg32 rng;
+        std::uint64_t codePos = 0;
+    };
+
+    Op draw(CoreState &cs);
+
+    std::uint64_t blockBytes_;
+    ZipfianGenerator zipf_;
+    double memProb_;
+    const char *name_;
+    Place place_;
+    std::vector<CoreState> cores_;
+};
 
 } // namespace mcsim::bench
 

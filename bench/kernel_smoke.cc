@@ -23,15 +23,11 @@
  *        (defaults: 2M measured core cycles, WS, DDR3-1600, 1 channel,
  *        BENCH_kernel.json)
  *
- * Entries are stamped with the git SHA and the device name, so the
- * accumulated perf trajectory is attributable to a commit and a
- * clock-ratio configuration. The SHA resolution chain (first hit
- * wins): the CLOUDMC_GIT_SHA environment variable (explicit
- * override), GITHUB_SHA (set by CI), `git rev-parse HEAD` run in the
- * current directory at bench time, the SHA CMake captured at
- * configure time (stale across commits without a reconfigure, so it
- * ranks below the live lookup), and finally "unknown" for builds
- * from a tarball with no git anywhere.
+ * Entries are stamped with the git SHA (bench::gitSha()) and the
+ * device name, so the accumulated perf trajectory is attributable to
+ * a commit and a clock-ratio configuration. A bad flag value (an
+ * unknown workload or device, a channel count that is not a power of
+ * two) is a named error and exits 1.
  *
  * --check-regression reads the committed BASELINE json (normally the
  * in-tree BENCH_kernel*.json stamped by the last perf-affecting PR)
@@ -41,21 +37,23 @@
  * different absolute speed.
  */
 
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_common.hh"
+#include "common/bitutils.hh"
 #include "dram/devices.hh"
 #include "sim/experiment.hh"
+#include "sim/spec.hh"
 #include "sim/system.hh"
 #include "workload/presets.hh"
 
 using namespace mcsim;
+using bench::gitSha;
 
 namespace {
 
@@ -113,17 +111,6 @@ runOnce(WorkloadId wl, const DramDevice &dev,
                         : 0.0;
     r.batchRuns = k.coreBatchRuns;
     return r;
-}
-
-WorkloadId
-workloadByAcronym(const std::string &acr)
-{
-    WorkloadId wl = WorkloadId::WS;
-    if (!tryWorkloadFromName(acr, wl)) {
-        std::fprintf(stderr, "unknown workload '%s', using WS\n",
-                     acr.c_str());
-    }
-    return wl;
 }
 
 /**
@@ -187,40 +174,6 @@ cacheRoundtrips(WorkloadId wl, const DramDevice &dev,
 }
 
 /**
- * Commit fingerprint for the perf trajectory. Resolution chain (see
- * the file comment): CLOUDMC_GIT_SHA env, GITHUB_SHA env, a live
- * `git rev-parse HEAD`, the configure-time SHA baked in by CMake,
- * "unknown".
- */
-std::string
-gitSha()
-{
-    if (const char *sha = std::getenv("CLOUDMC_GIT_SHA"))
-        return sha;
-    if (const char *sha = std::getenv("GITHUB_SHA"))
-        return sha;
-    if (std::FILE *p = popen("git rev-parse HEAD 2>/dev/null", "r")) {
-        char buf[64] = {};
-        const bool got = std::fgets(buf, sizeof(buf), p) != nullptr;
-        const bool clean = pclose(p) == 0;
-        if (got && clean) {
-            std::string sha(buf);
-            while (!sha.empty() &&
-                   std::isspace(static_cast<unsigned char>(sha.back()))) {
-                sha.pop_back();
-            }
-            if (sha.size() == 40)
-                return sha;
-        }
-    }
-#ifdef CLOUDMC_GIT_SHA_CONFIGURED
-    if (CLOUDMC_GIT_SHA_CONFIGURED[0] != '\0')
-        return CLOUDMC_GIT_SHA_CONFIGURED;
-#endif
-    return "unknown";
-}
-
-/**
  * Pull one numeric key out of a previously committed bench JSON.
  * Returns a negative value when the file or the key is missing (the
  * guard then passes trivially — a fresh tree has no baseline yet).
@@ -250,29 +203,31 @@ int
 main(int argc, char **argv)
 {
     std::uint64_t cycles = 2'000'000;
-    std::string workload = "WS";
-    std::string device = "DDR3-1600";
+    WorkloadId wl = WorkloadId::WS;
+    const DramDevice *dev = findDramDevice("DDR3-1600");
     std::string jsonPath = "BENCH_kernel.json";
     std::string regressionBaseline;
-    std::uint32_t channels = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--cycles") == 0 && i + 1 < argc)
-            cycles = std::strtoull(argv[++i], nullptr, 10);
-        else if (std::strcmp(argv[i], "--workload") == 0 && i + 1 < argc)
-            workload = argv[++i];
-        else if (std::strcmp(argv[i], "--device") == 0 && i + 1 < argc)
-            device = argv[++i];
-        else if (std::strcmp(argv[i], "--channels") == 0 && i + 1 < argc)
-            channels = static_cast<std::uint32_t>(
-                std::strtoul(argv[++i], nullptr, 10));
-        else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            jsonPath = argv[++i];
-        else if (std::strcmp(argv[i], "--check-regression") == 0 &&
-                 i + 1 < argc)
-            regressionBaseline = argv[++i];
-    }
-    const WorkloadId wl = workloadByAcronym(workload);
-    const DramDevice &dev = dramDeviceOrDie(device);
+    std::uint64_t channelCount = 1;
+    const bool parsed = bench::parseBenchFlags(
+        argc, argv,
+        {{"cycles", "a positive integer", bench::positiveUint(cycles)},
+         {"workload", "a workload acronym",
+          [&](const std::string &v) { return tryWorkloadFromName(v, wl); }},
+         {"device", "a DRAM device name",
+          [&](const std::string &v) {
+              return (dev = findDramDevice(v)) != nullptr;
+          }},
+         {"channels", "a power-of-two channel count",
+          [&](const std::string &v) {
+              return parseUint(v, channelCount) &&
+                     channelCount <= (1u << 31) && isPowerOf2(channelCount);
+          }},
+         {"json", "a path", bench::text(jsonPath)},
+         {"check-regression", "a path",
+          bench::text(regressionBaseline)}});
+    if (!parsed)
+        return 1;
+    const auto channels = static_cast<std::uint32_t>(channelCount);
     const unsigned hostHw = std::thread::hardware_concurrency();
     // Read the baseline up front: --json may point at the same file
     // this run is about to overwrite.
@@ -281,18 +236,18 @@ main(int argc, char **argv)
             ? -1.0
             : baselineValue(regressionBaseline, "speedup_vs_reference");
 
-    const KernelRun ref = runOnce(wl, dev, cycles, true, channels);
-    const KernelRun ev = runOnce(wl, dev, cycles, false, channels);
+    const KernelRun ref = runOnce(wl, *dev, cycles, true, channels);
+    const KernelRun ev = runOnce(wl, *dev, cycles, false, channels);
     const std::string mismatch = metricMismatch(ev.metrics, ref.metrics);
     const bool bitIdentical = mismatch.empty() && ev.endTick == ref.endTick;
     const double speedup =
         ref.mticksPerS > 0.0 ? ev.mticksPerS / ref.mticksPerS : 0.0;
     const bool cacheRoundtrip =
-        cacheRoundtrips(wl, dev, jsonPath + ".cache.tmp.csv");
+        cacheRoundtrips(wl, *dev, jsonPath + ".cache.tmp.csv");
 
     std::printf("kernel_smoke: fig01 config, workload %s, device %s, "
                 "%u channel(s), %llu measured core cycles\n",
-                workload.c_str(), dev.name.c_str(), channels,
+                workloadAcronym(wl), dev->name.c_str(), channels,
                 static_cast<unsigned long long>(cycles));
     std::printf("  event kernel:     %7.2f Mticks/s (%.3f s, core ticks "
                 "run %.1f%%, batched %.1f%%, ctl ticks run %.1f%%)\n",
@@ -340,7 +295,7 @@ main(int argc, char **argv)
         "  \"metrics_bit_identical\": %s,\n"
         "  \"cache_roundtrip\": %s\n"
         "}\n",
-        gitSha().c_str(), workload.c_str(), dev.name.c_str(), channels,
+        gitSha().c_str(), workloadAcronym(wl), dev->name.c_str(), channels,
         static_cast<unsigned long long>(clk.ticksPerCore.count()),
         static_cast<unsigned long long>(clk.ticksPerDram.count()),
         static_cast<unsigned long long>(cycles),

@@ -1,7 +1,7 @@
 /**
  * @file
  * Quickstart: simulate one CloudSuite workload on the paper's Table 2
- * baseline system and print every metric the study tracks.
+ * baseline system and print every MetricSet field.
  *
  * Usage: quickstart [workload-acronym]
  *   e.g. quickstart DS        (default)
@@ -58,23 +58,8 @@ main(int argc, char **argv)
     const MetricSet m = system.run();
 
     std::printf("\nresults\n");
-    std::printf("  user IPC (aggregate)      : %.3f\n", m.userIpc);
-    std::printf("  avg read latency          : %.1f core cycles\n",
-                m.avgReadLatency);
-    std::printf("  row-buffer hit rate       : %.1f %%\n",
-                m.rowHitRatePct);
-    std::printf("  L2 MPKI                   : %.2f\n", m.l2Mpki);
-    std::printf("  avg read queue length     : %.2f\n", m.avgReadQueue);
-    std::printf("  avg write queue length    : %.2f\n", m.avgWriteQueue);
-    std::printf("  memory bandwidth util     : %.1f %%\n", m.bwUtilPct);
-    std::printf("  single-access activations : %.1f %%\n",
-                m.singleAccessPct);
-    std::printf("  DRAM reads / writes       : %llu / %llu\n",
-                static_cast<unsigned long long>(m.memReads),
-                static_cast<unsigned long long>(m.memWrites));
-    std::printf("  per-core IPC              :");
-    for (double ipc : m.perCoreIpc)
-        std::printf(" %.2f", ipc);
-    std::printf("\n");
+    forEachMetricField([&](const char *name, auto member) {
+        std::printf("  %-28s %s\n", name, formatMetric(m.*member).c_str());
+    });
     return 0;
 }

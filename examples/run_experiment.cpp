@@ -3,7 +3,7 @@
  * Generic experiment runner: simulate any (workload, scheduler, page
  * policy, mapping, device, channel count) point from the command
  * line — or a whole declarative sweep from a spec file — and print
- * the metric set(s). The repo's swiss-army knife for one-off
+ * every MetricSet field. The repo's swiss-army knife for one-off
  * questions ("what does TCM + History do to TPC-H Q6 on 2 channels of
  * DDR4-2400?") without writing code.
  *
@@ -15,7 +15,10 @@
  * With --config, or when a flag lists several values, the spec's
  * cross product (devices x schedulers x policies x mappings x
  * channels x workloads) runs as one parallel batch through
- * ExperimentRunner::runAll and prints one row per point. Run with
+ * ExperimentRunner::runAll and prints one row per point: a summary
+ * table, or with --csv the six point columns and then one column per
+ * MetricSet field. Values print through formatMetric(), so CSV output
+ * reads back bit-exactly. Run with
  * --help for the full flag list and --list for every legal name.
  */
 
@@ -53,12 +56,9 @@ runSweep(const ExperimentOptions &opts)
     const auto results = runner.runAll(points);
 
     if (opts.csv) {
-        std::printf("workload,device,scheduler,policy,mapping,channels,"
-                    "ipc,read_latency,row_hit_pct,bw_util_pct,"
-                    "energy_uj%s\n",
-                    spec.fairness ? ",weighted_speedup,harmonic_speedup,"
-                                    "max_slowdown"
-                                  : "");
+        std::printf("workload,device,scheduler,policy,mapping,channels");
+        forEachMetricField(
+            [](const char *name, auto) { std::printf(",%s", name); });
     } else {
         std::printf("%-8s %-12s %-10s %-13s %-11s %3s %7s %9s %7s %7s "
                     "%9s",
@@ -66,27 +66,30 @@ runSweep(const ExperimentOptions &opts)
                     "ch", "ipc", "lat(cyc)", "hit%", "bw%", "uJ");
         if (spec.fairness)
             std::printf(" %7s %7s %7s", "wspd", "hspd", "maxsd");
-        std::printf("\n");
     }
+    std::printf("\n");
     for (std::size_t i = 0; i < points.size(); ++i) {
         const SimConfig &cfg = points[i].cfg;
         const MetricSet &m = results[i];
-        std::printf(opts.csv ? "%s,%s,%s,%s,%s,%u,%.4f,%.1f,%.2f,%.2f,"
-                               "%.1f"
-                             : "%-8s %-12s %-10s %-13s %-11s %3u %7.3f "
-                               "%9.1f %7.2f %7.2f %9.1f",
+        std::printf(opts.csv ? "%s,%s,%s,%s,%s,%u"
+                             : "%-8s %-12s %-10s %-13s %-11s %3u",
                     workloadAcronym(points[i].workload),
                     cfg.deviceName.c_str(),
                     schedulerKindName(cfg.scheduler),
                     pagePolicyKindName(cfg.pagePolicy),
-                    mappingLabel(cfg).c_str(), cfg.dram.channels,
-                    m.userIpc, m.avgReadLatency, m.rowHitRatePct,
-                    m.bwUtilPct, m.dramEnergyNj / 1000.0);
-        if (spec.fairness) {
-            std::printf(opts.csv ? ",%.4f,%.4f,%.4f"
-                                 : " %7.3f %7.3f %7.3f",
-                        m.weightedSpeedup, m.harmonicSpeedup,
-                        m.maxSlowdown);
+                    mappingLabel(cfg).c_str(), cfg.dram.channels);
+        if (opts.csv) {
+            forEachMetricField([&](const char *, auto member) {
+                std::printf(",%s", formatMetric(m.*member).c_str());
+            });
+        } else {
+            std::printf(" %7.3f %9.1f %7.2f %7.2f %9.1f", m.userIpc,
+                        m.avgReadLatency, m.rowHitRatePct, m.bwUtilPct,
+                        m.dramEnergyNj / 1000.0);
+            if (spec.fairness) {
+                std::printf(" %7.3f %7.3f %7.3f", m.weightedSpeedup,
+                            m.harmonicSpeedup, m.maxSlowdown);
+            }
         }
         std::printf("\n");
     }
@@ -142,51 +145,15 @@ main(int argc, char **argv)
         deriveFairnessMetrics(m, {{0, workload.cores, &aloneM}});
     }
 
-    if (opts.csv) {
+    // Every MetricSet field, in table order, as `name,value` rows
+    // (--csv) or aligned `name  value` rows; lists are ';'-joined.
+    if (opts.csv)
         std::printf("metric,value\n");
-        std::printf("user_ipc,%.5f\n", m.userIpc);
-        std::printf("avg_read_latency_cycles,%.2f\n", m.avgReadLatency);
-        std::printf("read_latency_p50,%.1f\n", m.readLatencyP50);
-        std::printf("read_latency_p95,%.1f\n", m.readLatencyP95);
-        std::printf("read_latency_p99,%.1f\n", m.readLatencyP99);
-        std::printf("row_hit_rate_pct,%.2f\n", m.rowHitRatePct);
-        std::printf("l2_mpki,%.3f\n", m.l2Mpki);
-        std::printf("avg_read_queue,%.3f\n", m.avgReadQueue);
-        std::printf("avg_write_queue,%.3f\n", m.avgWriteQueue);
-        std::printf("bw_util_pct,%.2f\n", m.bwUtilPct);
-        std::printf("single_access_pct,%.2f\n", m.singleAccessPct);
-        std::printf("ipc_disparity,%.4f\n", m.ipcDisparity);
-        std::printf("dram_energy_uj,%.2f\n", m.dramEnergyNj / 1000.0);
-        std::printf("dram_power_mw,%.1f\n", m.dramAvgPowerMw);
-        if (m.hasFairness()) {
-            std::printf("weighted_speedup,%.4f\n", m.weightedSpeedup);
-            std::printf("harmonic_speedup,%.4f\n", m.harmonicSpeedup);
-            std::printf("max_slowdown,%.4f\n", m.maxSlowdown);
-        }
-        return 0;
-    }
-
-    std::printf("\n  user IPC                  : %.3f\n", m.userIpc);
-    std::printf("  avg read latency          : %.1f core cycles\n",
-                m.avgReadLatency);
-    std::printf("  read latency p50/p95/p99  : %.0f / %.0f / %.0f\n",
-                m.readLatencyP50, m.readLatencyP95, m.readLatencyP99);
-    std::printf("  row-buffer hit rate       : %.1f %%\n",
-                m.rowHitRatePct);
-    std::printf("  L2 MPKI                   : %.2f\n", m.l2Mpki);
-    std::printf("  read / write queue (avg)  : %.2f / %.2f\n",
-                m.avgReadQueue, m.avgWriteQueue);
-    std::printf("  memory bandwidth util     : %.1f %%\n", m.bwUtilPct);
-    std::printf("  single-access activations : %.1f %%\n",
-                m.singleAccessPct);
-    std::printf("  per-core IPC min/max      : %.3f\n", m.ipcDisparity);
-    std::printf("  DRAM energy / avg power   : %.1f uJ / %.1f mW\n",
-                m.dramEnergyNj / 1000.0, m.dramAvgPowerMw);
-    if (m.hasFairness()) {
-        std::printf("  weighted / harmonic spdup : %.3f / %.3f\n",
-                    m.weightedSpeedup, m.harmonicSpeedup);
-        std::printf("  max slowdown (vs alone)   : %.3f\n",
-                    m.maxSlowdown);
-    }
+    else
+        std::printf("\n");
+    forEachMetricField([&](const char *name, auto member) {
+        std::printf(opts.csv ? "%s,%s\n" : "  %-28s %s\n", name,
+                    formatMetric(m.*member).c_str());
+    });
     return 0;
 }

@@ -283,32 +283,6 @@ ExperimentRunner::pointKey(const Point &p)
 
 namespace {
 
-void
-appendValue(std::string &out, double v)
-{
-    // 17 significant digits: strtod reads back the identical bits.
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out += buf;
-}
-
-void
-appendValue(std::string &out, std::uint64_t v)
-{
-    out += std::to_string(v);
-}
-
-template <typename T>
-void
-appendValue(std::string &out, const std::vector<T> &list)
-{
-    for (std::size_t i = 0; i < list.size(); ++i) {
-        if (i)
-            out += ';';
-        appendValue(out, list[i]);
-    }
-}
-
 bool
 parseValue(const std::string &text, double &out)
 {
@@ -354,7 +328,7 @@ formatCacheRow(const std::string &key, const MetricSet &m)
         row += ',';
         row += name;
         row += '=';
-        appendValue(row, m.*member);
+        row += formatMetric(m.*member);
     });
     row += '\n';
     return row;

@@ -120,6 +120,9 @@ class ExperimentRunner
      */
     static unsigned defaultThreads();
 
+    /** The CLOUDMC_FAST window divisor (1 when unset or below 1). */
+    static std::uint64_t fastDivisor();
+
     /** Stable fingerprint of a (workload, config) point. */
     static std::string configKey(WorkloadId workload, const SimConfig &cfg);
 
@@ -162,7 +165,6 @@ class ExperimentRunner
      * lines. Caller holds mu_.
      */
     void appendToCache(const std::string &key, const MetricSet &m);
-    static std::uint64_t fastDivisor();
     static MetricSet simulate(WorkloadId workload, const SimConfig &cfg,
                               std::uint32_t presetCores = 0);
     static MetricSet simulatePoint(const Point &p);

@@ -25,27 +25,14 @@ sameBits(std::uint64_t a, std::uint64_t b)
     return a == b;
 }
 
-std::string
-show(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-std::string
-show(std::uint64_t v)
-{
-    return std::to_string(v);
-}
-
 template <typename T>
 std::string
 fieldMismatch(const char *name, const T &a, const T &b)
 {
     if (sameBits(a, b))
         return {};
-    return std::string(name) + ": " + show(a) + " vs " + show(b);
+    return std::string(name) + ": " + formatMetric(a) + " vs " +
+           formatMetric(b);
 }
 
 template <typename T>
@@ -60,13 +47,59 @@ fieldMismatch(const char *name, const std::vector<T> &a,
     for (std::size_t i = 0; i < a.size(); ++i) {
         if (!sameBits(a[i], b[i])) {
             return std::string(name) + "[" + std::to_string(i) +
-                   "]: " + show(a[i]) + " vs " + show(b[i]);
+                   "]: " + formatMetric(a[i]) + " vs " +
+                   formatMetric(b[i]);
         }
     }
     return {};
 }
 
+/** A JSON array of @p list's elements. */
+template <typename T>
+std::string
+jsonValue(const std::vector<T> &list)
+{
+    std::string out = formatMetric(list);
+    std::replace(out.begin(), out.end(), ';', ',');
+    return '[' + out + ']';
+}
+
+template <typename T>
+std::string
+jsonValue(const T &v)
+{
+    return formatMetric(v);
+}
+
 } // namespace
+
+std::string
+formatMetric(double v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+std::string
+formatMetric(std::uint64_t v)
+{
+    return std::to_string(v);
+}
+
+std::string
+metricsJson(const MetricSet &m, int indent)
+{
+    const std::string pad(static_cast<std::size_t>(indent), ' ');
+    std::string out = "{";
+    const char *sep = "\n";
+    forEachMetricField([&](const char *name, auto member) {
+        out += sep;
+        out += pad + "  \"" + name + "\": " + jsonValue(m.*member);
+        sep = ",\n";
+    });
+    return out + '\n' + pad + '}';
+}
 
 std::string
 metricMismatch(const MetricSet &a, const MetricSet &b)

@@ -136,8 +136,9 @@ struct MetricSet
  * The MetricSet field table: calls @p f(name, &MetricSet::member) once
  * for every field, in a fixed order. The member is a pointer to a
  * double, a std::uint64_t, or a std::vector of either. The results
- * cache's row format, cache recall and metricMismatch() all derive
- * from this table, so a new metric is declared here and nowhere else.
+ * cache's row format, cache recall, metricMismatch(), metricsJson()
+ * and every program's metric output derive from this table, so a new
+ * metric is declared here and nowhere else.
  */
 template <typename F>
 void
@@ -178,6 +179,36 @@ forEachMetricField(F &&f)
     f("mem_reads", &MetricSet::memReads);
     f("mem_writes", &MetricSet::memWrites);
 }
+
+/** @p v as text that strtod reads back to the same bits ("%.17g"). */
+std::string formatMetric(double v);
+
+/** @p v in decimal. */
+std::string formatMetric(std::uint64_t v);
+
+/** The elements of @p list, each formatted as above, joined by ';'
+ *  ("" for an empty list). */
+template <typename T>
+std::string
+formatMetric(const std::vector<T> &list)
+{
+    std::string out;
+    for (std::size_t i = 0; i < list.size(); ++i) {
+        if (i)
+            out += ';';
+        out += formatMetric(list[i]);
+    }
+    return out;
+}
+
+/**
+ * @p m as one JSON object: every field in forEachMetricField order,
+ * scalars as formatMetric() prints them and lists as JSON arrays.
+ * Members sit @p indent + 2 spaces deep and the closing brace
+ * @p indent deep; the opening brace starts the text, so the object
+ * can follow a key on the same line.
+ */
+std::string metricsJson(const MetricSet &m, int indent = 0);
 
 /**
  * The first field (in forEachMetricField order) on which @p a and @p b

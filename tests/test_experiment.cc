@@ -10,13 +10,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfloat>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/worker_pool.hh"
@@ -816,4 +819,54 @@ TEST(ExperimentCache, GoldenRowsPinModelVersion)
            "and re-record kGoldenRowsHash as 0x"
         << std::hex << h << "\nrows:\n"
         << rows;
+}
+
+TEST(MetricFormat, ValuesRoundTripBitExactly)
+{
+    for (const double x : {-0.0, 5e-324, DBL_MAX, 0.1, 1.0 / 3.0}) {
+        const std::string text = formatMetric(x);
+        char *end = nullptr;
+        const double back = std::strtod(text.c_str(), &end);
+        EXPECT_EQ(*end, '\0') << text;
+        EXPECT_EQ(std::memcmp(&back, &x, sizeof(x)), 0) << text;
+    }
+    std::uint64_t back = 0;
+    ASSERT_TRUE(parseUint(formatMetric(UINT64_MAX), back));
+    EXPECT_EQ(back, UINT64_MAX);
+    EXPECT_EQ(formatMetric(std::vector<double>{}), "");
+    EXPECT_EQ(formatMetric(std::vector<double>{0.5}), "0.5");
+    EXPECT_EQ(formatMetric(std::vector<std::uint64_t>{7}), "7");
+}
+
+TEST(MetricFormat, JsonNamesEveryFieldOnce)
+{
+    MetricSet m;
+    m.perCoreIpc = {0.5, 0.25};
+    m.perCoreCommitted = {3};
+    const std::string json = metricsJson(m, 2);
+    ASSERT_FALSE(json.empty());
+    EXPECT_EQ(json.front(), '{');
+    EXPECT_EQ(json.substr(json.rfind('\n')), "\n  }");
+
+    std::size_t fields = 0;
+    forEachMetricField([&](const char *name, auto member) {
+        ++fields;
+        const std::string key = std::string("\"") + name + "\": ";
+        const std::size_t at = json.find(key);
+        ASSERT_NE(at, std::string::npos) << name;
+        EXPECT_EQ(json.find(key, at + 1), std::string::npos) << name;
+        using T = std::decay_t<decltype(m.*member)>;
+        EXPECT_EQ(json[at + key.size()] == '[', !std::is_arithmetic_v<T>)
+            << name;
+    });
+    std::size_t keys = 0;
+    for (std::size_t at = json.find("\": "); at != std::string::npos;
+         at = json.find("\": ", at + 1)) {
+        ++keys;
+    }
+    EXPECT_EQ(keys, fields);
+    EXPECT_NE(json.find("\"per_core_ipc\": [0.5,0.25]"), std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"per_core_committed\": [3]"), std::string::npos);
+    EXPECT_NE(json.find("\"per_vault_read_queue\": []"), std::string::npos);
 }
