@@ -199,14 +199,24 @@ bool
 sweepFlags(int argc, char **argv)
 {
     bool csv = false;
+    std::vector<char *> pairs{argv[0]};
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--csv") == 0)
             csv = true;
-        else if (std::strcmp(argv[i], "--fast") == 0 && i + 1 < argc)
-            setenv("CLOUDMC_FAST", argv[++i], 1);
-        else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-            setenv("CLOUDMC_THREADS", argv[++i], 1);
+        else
+            pairs.push_back(argv[i]);
     }
+    std::uint64_t fast = 0, threads = 0;
+    if (!parseBenchFlags(static_cast<int>(pairs.size()), pairs.data(),
+                         {{"fast", "a positive integer", positiveUint(fast)},
+                          {"threads", "a positive integer",
+                           positiveUint(threads)}})) {
+        std::exit(1);
+    }
+    if (fast)
+        setenv("CLOUDMC_FAST", std::to_string(fast).c_str(), 1);
+    if (threads)
+        setenv("CLOUDMC_THREADS", std::to_string(threads).c_str(), 1);
     return csv;
 }
 

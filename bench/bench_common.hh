@@ -95,7 +95,9 @@ void printFigure(const std::string &title, const std::string &metricName,
 /**
  * Read the sweep benches' flags: --fast N and --threads N set
  * CLOUDMC_FAST and CLOUDMC_THREADS for the runner. Returns whether
- * --csv was given; other arguments are ignored.
+ * --csv was given. An unknown flag, a missing value or a value that
+ * is not a positive integer is a parseBenchFlags() named error and
+ * exits 1.
  */
 bool sweepFlags(int argc, char **argv);
 

@@ -6,9 +6,8 @@
  * exactly one access before closure.
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "bench_common.hh"
 
@@ -16,15 +15,7 @@ int
 main(int argc, char **argv)
 {
     using namespace mcsim;
-    bool csv = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--csv") == 0)
-            csv = true;
-        else if (std::strcmp(argv[i], "--fast") == 0 && i + 1 < argc)
-            setenv("CLOUDMC_FAST", argv[++i], 1);
-        else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-            setenv("CLOUDMC_THREADS", argv[++i], 1);
-    }
+    const bool csv = bench::sweepFlags(argc, argv);
 
     ExperimentRunner runner;
     const SimConfig cfg = SimConfig::baseline();

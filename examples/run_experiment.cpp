@@ -120,6 +120,10 @@ main(int argc, char **argv)
         std::fputs(ExperimentOptions::listText().c_str(), stdout);
         return 0;
     }
+    // A single point runs its own windows (--fast D), yet a malformed
+    // CLOUDMC_FAST or CLOUDMC_THREADS is a named error on every path.
+    (void)ExperimentRunner::fastDivisor();
+    (void)ExperimentRunner::defaultThreads();
     if (opts.hasSpec || opts.spec.pointCount() > 1)
         return runSweep(opts);
 

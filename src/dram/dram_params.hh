@@ -153,6 +153,9 @@ struct DramGeometry
                   "row buffer smaller than a block");
         mc_assert(vaultsPerStack == 0 || isPowerOf2(vaultsPerStack),
                   "vault count must be zero (flat) or a power of two");
+        // The controller keeps one bit per bank of a channel.
+        mc_assert(std::uint64_t{ranksPerChannel} * banksPerRank <= 64,
+                  "a channel holds at most 64 banks (ranks x banks)");
     }
 };
 

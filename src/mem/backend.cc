@@ -5,7 +5,6 @@
 
 #include "address_mapping.hh"
 #include "common/log.hh"
-#include "dram/dram_system.hh"
 #include "dram/energy.hh"
 #include "factory.hh"
 #include "hotness_monitor.hh"
@@ -56,106 +55,6 @@ tryTierPolicyFromName(const std::string &name, TierPolicy &out)
 }
 
 namespace {
-
-/**
- * The flat JEDEC backend: the paper's memory system. One DramSystem
- * channel per queue, one MemController in front of each, the scheme's
- * AddressMapper doing the routing. Statistics collection reproduces
- * the pre-backend System::collect() arithmetic bit for bit.
- */
-class FlatDramBackend final : public MemBackend
-{
-  public:
-    FlatDramBackend(const SimConfig &cfg, std::uint32_t numCores)
-        : power_(cfg.power), timings_(cfg.timings), clk_(cfg.clocks),
-          ranksPerChannel_(cfg.dram.ranksPerChannel),
-          banksPerRank_(cfg.dram.banksPerRank),
-          mapper_(cfg.dram, cfg.mapping, cfg.bankGroupMapping),
-          dram_(cfg.dram, cfg.timings, cfg.refreshEnabled, cfg.clocks)
-    {
-        for (std::uint32_t ch = 0; ch < dram_.numChannels(); ++ch) {
-            controllers_.push_back(std::make_unique<MemController>(
-                dram_.channel(ch),
-                makeScheduler(cfg.scheduler, numCores, cfg.schedulerParams,
-                              cfg.clocks, cfg.timings),
-                makePagePolicy(cfg.pagePolicy, cfg.clocks), numCores,
-                cfg.controller));
-        }
-    }
-
-    MemBackendKind kind() const override { return MemBackendKind::FlatDram; }
-
-    std::uint32_t
-    numQueues() const override
-    {
-        return static_cast<std::uint32_t>(controllers_.size());
-    }
-
-    MemController &queue(std::uint32_t i) override { return *controllers_[i]; }
-
-    void
-    route(Request &req, Tick) override
-    {
-        req.coord = mapper_.decode(req.addr);
-    }
-
-    std::uint64_t
-    capacityBytes() const override
-    {
-        return dram_.geometry().capacityBytes();
-    }
-
-    void
-    resetStats(Tick now) override
-    {
-        for (auto &mc : controllers_)
-            mc->resetStats(now);
-    }
-
-    double
-    busUtilization(Tick now) const override
-    {
-        return dram_.busUtilization(now);
-    }
-
-    void
-    collect(MetricSet &m, Tick now) const override
-    {
-        m.bwUtilPct = 100.0 * dram_.busUtilization(now);
-
-        const DramEnergyModel energyModel(power_, timings_,
-                                          ranksPerChannel_, banksPerRank_,
-                                          clk_);
-        // Every channel's stats window starts at the same resetStats()
-        // tick, so the elapsed time is one number, not per-controller.
-        const double elapsedNs =
-            controllers_.empty()
-                ? 0.0
-                : clk_.ticksToNs(
-                      now -
-                      controllers_.front()->channel().stats().statsStartTick);
-        // collect() fills, it never accumulates: zero the sum before
-        // adding so a second collect() into the same MetricSet is
-        // idempotent.
-        m.dramEnergyNj = 0.0;
-        for (const auto &mc : controllers_) {
-            m.dramEnergyNj +=
-                energyModel.estimate(mc->channel().stats(), now).totalNj();
-        }
-        m.dramAvgPowerMw =
-            elapsedNs > 0.0 ? m.dramEnergyNj * 1e3 / elapsedNs : 0.0;
-    }
-
-  private:
-    DramPowerParams power_;
-    DramTimings timings_;
-    ClockDomains clk_;
-    std::uint32_t ranksPerChannel_;
-    std::uint32_t banksPerRank_;
-    AddressMapper mapper_;
-    DramSystem dram_;
-    std::vector<std::unique_ptr<MemController>> controllers_;
-};
 
 /**
  * Per-stack dynamic remapping table: a permutation over the stack's
@@ -271,48 +170,44 @@ class VaultRemapper
 };
 
 /**
- * HMC-style stacked DRAM: cfg.dram.channels stacks, each with
- * geometry.vaultsPerStack vaults of banksPerRank banks. Every vault
- * is its own single-channel Channel (so the vault-local command/data
- * buses and refresh are modeled independently) with a MemController
- * queue in front; the global queue index is stack * vaults + vault,
- * which is what coord.channel carries, so the kernels' routing
- * decomposes per vault with no kernel changes. The TSV return-path
- * crossing is the device's tTSV timing, charged by the Channel on read
- * data return.
+ * DRAM media with one MemController queue per channel or vault: the
+ * paper's JEDEC channels, or HMC-style stacks of vaults. A flat part
+ * is a stack with one vault per channel, so both share one queue
+ * geometry of channels x max(vaultsPerStack, 1) single-vault
+ * "channels"; the global queue index is stack * vaults + vault, which
+ * is what coord.channel carries, so the kernels' routing decomposes
+ * per queue with no kernel changes. Every queue is its own
+ * single-channel Channel (its command/data buses and refresh modeled
+ * independently); a stacked part's TSV return-path crossing is the
+ * device's tTSV timing, charged by the Channel on read data return.
  *
- * Static routing comes from an AddressMapper over the flattened
- * geometry (stacks * vaults "channels" of one rank), i.e. the
- * vault-interleave the mapping scheme implies. With remapping enabled
- * a per-stack VaultRemapper permutes (vault, bank) slots under it.
+ * Static routing comes from an AddressMapper over the queue geometry,
+ * i.e. the channel/vault interleave the mapping scheme implies. On a
+ * stacked part with remapping enabled a per-stack VaultRemapper
+ * permutes (vault, bank) slots under it.
+ *
+ * The channels run on @p mediaTimings; the schedulers always get
+ * cfg.timings (the tiered slow tier stretches only its media).
  */
-class StackedDramBackend final : public MemBackend
+class DramBackend final : public MemBackend
 {
   public:
-    StackedDramBackend(const SimConfig &cfg, std::uint32_t numCores)
-        : power_(cfg.power), timings_(cfg.timings), clk_(cfg.clocks),
-          stacks_(cfg.dram.channels), vaults_(cfg.dram.vaultsPerStack),
-          banks_(cfg.dram.banksPerRank), remapCfg_(cfg.remap),
-          mapper_(flattenedGeometry(cfg.dram), cfg.mapping,
+    DramBackend(const SimConfig &cfg, const DramGeometry &geometry,
+                const DramTimings &mediaTimings, std::uint32_t numCores)
+        : power_(cfg.power), timings_(mediaTimings), clk_(cfg.clocks),
+          vaults_(geometry.vaultsPerStack),
+          ranks_(geometry.ranksPerChannel), banks_(geometry.banksPerRank),
+          mapper_(queueGeometry(geometry), cfg.mapping,
                   cfg.bankGroupMapping)
     {
-        mc_assert(vaults_ > 0,
-                  "stacked backend needs geometry.vaultsPerStack > 0");
-        mc_assert(cfg.dram.ranksPerChannel == 1,
+        mc_assert(vaults_ == 0 || ranks_ == 1,
                   "stacked backend models one rank per vault");
-        DramGeometry vaultGeom = cfg.dram;
-        vaultGeom.channels = 1;
-        vaultGeom.vaultsPerStack = 0; // One vault's worth of banks.
-        vaultGeom.validate();
-        const TickSpan migrationTicks = clk_.dramToTicks(
-            static_cast<std::uint64_t>(cfg.remap.migrationRows) *
-            cfg.remap.migrationCyclesPerRow);
-        for (std::uint32_t s = 0; s < stacks_; ++s)
-            remappers_.emplace_back(vaults_, banks_, cfg.remap,
-                                    migrationTicks);
-        for (std::uint32_t q = 0; q < stacks_ * vaults_; ++q) {
+        DramGeometry queueGeom = mapper_.geometry();
+        const std::uint32_t queues = queueGeom.channels;
+        queueGeom.channels = 1;
+        for (std::uint32_t q = 0; q < queues; ++q) {
             channels_.push_back(std::make_unique<Channel>(
-                vaultGeom, cfg.timings, cfg.refreshEnabled, cfg.clocks));
+                queueGeom, mediaTimings, cfg.refreshEnabled, cfg.clocks));
             controllers_.push_back(std::make_unique<MemController>(
                 *channels_.back(),
                 makeScheduler(cfg.scheduler, numCores, cfg.schedulerParams,
@@ -320,12 +215,21 @@ class StackedDramBackend final : public MemBackend
                 makePagePolicy(cfg.pagePolicy, cfg.clocks), numCores,
                 cfg.controller));
         }
+        if (vaults_ > 0 && cfg.remap.enabled) {
+            const TickSpan migrationTicks = clk_.dramToTicks(
+                static_cast<std::uint64_t>(cfg.remap.migrationRows) *
+                cfg.remap.migrationCyclesPerRow);
+            remappers_.assign(geometry.channels,
+                              VaultRemapper(vaults_, banks_, cfg.remap,
+                                            migrationTicks));
+        }
     }
 
     MemBackendKind
     kind() const override
     {
-        return MemBackendKind::StackedDram;
+        return vaults_ ? MemBackendKind::StackedDram
+                       : MemBackendKind::FlatDram;
     }
 
     std::uint32_t
@@ -340,23 +244,19 @@ class StackedDramBackend final : public MemBackend
     route(Request &req, Tick now) override
     {
         req.coord = mapper_.decode(req.addr);
+        if (remappers_.empty())
+            return;
         const std::uint32_t stack = req.coord.channel / vaults_;
-        std::uint32_t vault = req.coord.channel % vaults_;
-        std::uint32_t bank = req.coord.bank;
-        if (remapCfg_.enabled) {
-            VaultRemapper &rm = remappers_[stack];
-            const std::uint32_t logicalSlot = vault * banks_ + bank;
-            rm.recordAccess(logicalSlot, now);
-            const std::uint32_t phys = rm.physSlot(logicalSlot);
-            vault = phys / banks_;
-            bank = phys % banks_;
-            const Tick busy = rm.busyUntil(phys);
-            if (busy > req.availableAt)
-                req.availableAt = busy;
-        }
-        req.coord.channel = stack * vaults_ + vault;
-        req.coord.bank = bank;
-        req.coord.rank = 0;
+        VaultRemapper &rm = remappers_[stack];
+        const std::uint32_t logicalSlot =
+            req.coord.channel % vaults_ * banks_ + req.coord.bank;
+        rm.recordAccess(logicalSlot, now);
+        const std::uint32_t phys = rm.physSlot(logicalSlot);
+        req.coord.channel = stack * vaults_ + phys / banks_;
+        req.coord.bank = phys % banks_;
+        const Tick busy = rm.busyUntil(phys);
+        if (busy > req.availableAt)
+            req.availableAt = busy;
     }
 
     std::uint64_t
@@ -377,41 +277,60 @@ class StackedDramBackend final : public MemBackend
     double
     busUtilization(Tick now) const override
     {
-        if (channels_.empty())
-            return 0.0;
         double sum = 0.0;
+        addBusUtilization(sum, now);
+        return sum / static_cast<double>(channels_.size());
+    }
+
+    /** Add every queue's data-bus utilization to @p sum, in order. */
+    void
+    addBusUtilization(double &sum, Tick now) const
+    {
         for (const auto &ch : channels_)
             sum += ch->stats().busUtilization(now);
-        return sum / static_cast<double>(channels_.size());
+    }
+
+    /** Add every queue's energy estimate to @p nj, in order. */
+    void
+    addEnergyNj(double &nj, Tick now) const
+    {
+        const DramEnergyModel energyModel(power_, timings_, ranks_, banks_,
+                                          clk_);
+        for (const auto &ch : channels_)
+            nj += energyModel.estimate(ch->stats(), now).totalNj();
+    }
+
+    /** Merge every queue's read-latency histogram into @p hist. */
+    void
+    addReadLatency(LogHistogram &hist) const
+    {
+        for (const auto &mc : controllers_)
+            hist.merge(mc->stats().readLatencyHist);
+    }
+
+    /** Average power of @p nj over the open statistics window. */
+    double
+    averagePowerMw(double nj, Tick now) const
+    {
+        // Every queue's window starts at the same resetStats() tick, so
+        // the elapsed time is one number, not per-queue.
+        const double elapsedNs = clk_.ticksToNs(
+            now - channels_.front()->stats().statsStartTick);
+        return elapsedNs > 0.0 ? nj * 1e3 / elapsedNs : 0.0;
     }
 
     void
     collect(MetricSet &m, Tick now) const override
     {
+        // collect() fills, it never accumulates: every summed field is
+        // zeroed/cleared first, so a second collect() into the same
+        // MetricSet reproduces identical values.
         m.bwUtilPct = 100.0 * busUtilization(now);
-
-        // One rank of banks_ banks per vault.
-        const DramEnergyModel energyModel(power_, timings_, 1, banks_,
-                                          clk_);
-        const double elapsedNs =
-            controllers_.empty()
-                ? 0.0
-                : clk_.ticksToNs(
-                      now -
-                      controllers_.front()->channel().stats().statsStartTick);
-        // collect() fills, it never accumulates: zero/clear every
-        // summed field up front so a second collect() into the same
-        // MetricSet reproduces identical values instead of doubling
-        // the energy, duplicating every vault's queue entry (which
-        // would also skew vaultQueueImbalance via the doubled mean),
-        // and double-counting the remap migrations.
         m.dramEnergyNj = 0.0;
-        for (const auto &mc : controllers_) {
-            m.dramEnergyNj +=
-                energyModel.estimate(mc->channel().stats(), now).totalNj();
-        }
-        m.dramAvgPowerMw =
-            elapsedNs > 0.0 ? m.dramEnergyNj * 1e3 / elapsedNs : 0.0;
+        addEnergyNj(m.dramEnergyNj, now);
+        m.dramAvgPowerMw = averagePowerMw(m.dramEnergyNj, now);
+        if (vaults_ == 0)
+            return;
 
         m.perVaultReadQueue.clear();
         double sum = 0.0, peak = 0.0;
@@ -421,10 +340,7 @@ class StackedDramBackend final : public MemBackend
             sum += q;
             peak = std::max(peak, q);
         }
-        const double mean =
-            controllers_.empty()
-                ? 0.0
-                : sum / static_cast<double>(controllers_.size());
+        const double mean = sum / static_cast<double>(controllers_.size());
         m.vaultQueueImbalance = mean > 0.0 ? peak / mean : 0.0;
         m.remapMigrations = 0;
         m.remapMigratedRows = 0;
@@ -435,40 +351,39 @@ class StackedDramBackend final : public MemBackend
     }
 
   private:
-    /** The mapper's view: one "channel" per vault, one rank each, so
-     *  the scheme's channel bits interleave blocks over every vault in
-     *  the system. Capacity is identical to the stacked geometry's. */
+    /** The mapper's view: one "channel" per queue, so the scheme's
+     *  channel bits interleave blocks over every vault in the system.
+     *  Capacity is identical to @p g's. */
     static DramGeometry
-    flattenedGeometry(const DramGeometry &g)
+    queueGeometry(const DramGeometry &g)
     {
-        DramGeometry flat = g;
-        flat.channels = g.channels * g.vaultsPerStack;
-        flat.ranksPerChannel = 1;
-        flat.vaultsPerStack = 0;
-        flat.validate();
-        return flat;
+        DramGeometry q = g;
+        q.channels = g.channels * std::max(g.vaultsPerStack, 1u);
+        q.vaultsPerStack = 0;
+        q.validate();
+        return q;
     }
 
     DramPowerParams power_;
     DramTimings timings_;
     ClockDomains clk_;
-    std::uint32_t stacks_;
-    std::uint32_t vaults_;
+    std::uint32_t vaults_; ///< 0 on a flat part.
+    std::uint32_t ranks_;
     std::uint32_t banks_;
-    RemapConfig remapCfg_;
     AddressMapper mapper_;
-    std::vector<VaultRemapper> remappers_; ///< One per stack.
+    std::vector<VaultRemapper> remappers_; ///< One per stack, if remapping.
     std::vector<std::unique_ptr<Channel>> channels_;
     std::vector<std::unique_ptr<MemController>> controllers_;
 };
 
 /**
- * Two-tier memory: the SimConfig's base backend (flat or stacked) as
- * the fast tier, composed with a slow CXL/NVM-like tier built from
- * the same media model with extra return-path latency (charged via
- * the tTSV hook, exactly like a stacked part's vault-to-logic-layer
- * crossing) and a service-rate bandwidth throttle (the tCCD/tCCD_L/
- * tBURST timings stretch by 100/slowBwPct). The slow tier adds
+ * Two-tier memory: the SimConfig's DRAM part (flat or stacked) as the
+ * fast tier, composed with a slow CXL/NVM-like tier that is a second
+ * DramBackend: the device's channel shape with the vault dimension
+ * flattened away, extra return-path latency (charged via the tTSV
+ * hook, exactly like a stacked part's vault-to-logic-layer crossing)
+ * and a service-rate bandwidth throttle (the tCCD/tCCD_L/tBURST
+ * timings stretch by 100/slowBwPct). The slow tier adds
  * cfg.dram.channels queues after the fast tier's, so the kernels'
  * routing decomposes over both tiers with no kernel changes.
  *
@@ -496,26 +411,16 @@ class TieredMemBackend final : public MemBackend
 {
   public:
     TieredMemBackend(const SimConfig &cfg, std::uint32_t numCores)
-        : tier_(cfg.tier), clk_(cfg.clocks), power_(cfg.power),
-          slowTimings_(slowTierTimings(cfg.timings, cfg.tier)),
-          slowGeom_(slowTierGeometry(cfg.dram)),
-          slowMapper_(slowGeom_, cfg.mapping, cfg.bankGroupMapping),
-          inner_(cfg.backend == MemBackendKind::StackedDram
-                     ? std::unique_ptr<MemBackend>(
-                           std::make_unique<StackedDramBackend>(cfg,
-                                                                numCores))
-                     : std::make_unique<FlatDramBackend>(cfg, numCores)),
+        : tier_(checkedTier(cfg.tier)), clk_(cfg.clocks),
+          fast_(cfg, cfg.dram, cfg.timings, numCores),
+          slow_(cfg, slowTierGeometry(cfg.dram),
+                slowTierTimings(cfg.timings, tier_), numCores),
           monitor_(0, 1, MonitorConfig{})
     {
-        mc_assert(tier_.fastCapacityPct >= 1 &&
-                      tier_.fastCapacityPct <= 100,
-                  "tier_capacity_pct must be in [1, 100]");
-        mc_assert(tier_.slowBwPct >= 1 && tier_.slowBwPct <= 100,
-                  "tier_bw must be in [1, 100]");
-        innerQueues_ = inner_->numQueues();
-        fastBytes_ = inner_->capacityBytes();
+        fastQueues_ = fast_.numQueues();
+        fastBytes_ = fast_.capacityBytes();
         rowBytes_ = cfg.dram.rowBufferBytes;
-        slowSpan_ = slowGeom_.capacityBytes();
+        slowSpan_ = slow_.capacityBytes();
 
         // Tile sizing: start at one row and double until the whole
         // (fast + slow) space fits in the tile-map budget.
@@ -566,23 +471,6 @@ class TieredMemBackend final : public MemBackend
             alloyFillTicks_ =
                 clk_.dramToTicks(tier_.migrationCyclesPerRow);
         }
-
-        // The slow tier: one Channel + MemController per fast-tier
-        // stack/channel, built from the device's media model with the
-        // tier latency/bandwidth modifications.
-        DramGeometry chGeom = slowGeom_;
-        chGeom.channels = 1;
-        chGeom.validate();
-        for (std::uint32_t c = 0; c < slowGeom_.channels; ++c) {
-            channels_.push_back(std::make_unique<Channel>(
-                chGeom, slowTimings_, cfg.refreshEnabled, cfg.clocks));
-            controllers_.push_back(std::make_unique<MemController>(
-                *channels_.back(),
-                makeScheduler(cfg.scheduler, numCores, cfg.schedulerParams,
-                              cfg.clocks, cfg.timings),
-                makePagePolicy(cfg.pagePolicy, cfg.clocks), numCores,
-                cfg.controller));
-        }
     }
 
     MemBackendKind kind() const override { return MemBackendKind::Tiered; }
@@ -590,15 +478,14 @@ class TieredMemBackend final : public MemBackend
     std::uint32_t
     numQueues() const override
     {
-        return innerQueues_ +
-               static_cast<std::uint32_t>(controllers_.size());
+        return fastQueues_ + slow_.numQueues();
     }
 
     MemController &
     queue(std::uint32_t i) override
     {
-        return i < innerQueues_ ? inner_->queue(i)
-                                : *controllers_[i - innerQueues_];
+        return i < fastQueues_ ? fast_.queue(i)
+                               : slow_.queue(i - fastQueues_);
     }
 
     void
@@ -638,13 +525,14 @@ class TieredMemBackend final : public MemBackend
             // slow-region address borrows the frame its fold lands in
             // (a performance model, not a functional allocator).
             req.addr = addr % fastBytes_;
-            inner_->route(req, now);
-            req.addr = addr;
+            fast_.route(req, now);
         } else {
             ++slowRouted_;
-            req.coord = slowMapper_.decode(addr % slowSpan_);
-            req.coord.channel += innerQueues_;
+            req.addr = addr % slowSpan_;
+            slow_.route(req, now);
+            req.coord.channel += fastQueues_;
         }
+        req.addr = addr;
         // A tile mid-migration gates its requests (either direction of
         // the swap) until the copy finishes.
         for (const TileGate &g : migrating_) {
@@ -664,9 +552,8 @@ class TieredMemBackend final : public MemBackend
     void
     resetStats(Tick now) override
     {
-        inner_->resetStats(now);
-        for (auto &mc : controllers_)
-            mc->resetStats(now);
+        fast_.resetStats(now);
+        slow_.resetStats(now);
         // Window counters reset; the learned state (tile map, monitor
         // regions, alloy tags) keeps learning across the boundary,
         // like the vault remapper's table.
@@ -679,39 +566,26 @@ class TieredMemBackend final : public MemBackend
     double
     busUtilization(Tick now) const override
     {
-        double sum = inner_->busUtilization(now) *
-                     static_cast<double>(innerQueues_);
-        for (const auto &ch : channels_)
-            sum += ch->stats().busUtilization(now);
-        const std::size_t n = innerQueues_ + channels_.size();
-        return n ? sum / static_cast<double>(n) : 0.0;
+        // The fast tier's mean times its queue count, not its raw sum:
+        // the same floating-point steps as composing two backends.
+        double sum = fast_.busUtilization(now) *
+                     static_cast<double>(fastQueues_);
+        slow_.addBusUtilization(sum, now);
+        return sum / static_cast<double>(numQueues());
     }
 
     void
     collect(MetricSet &m, Tick now) const override
     {
         // Fast-tier fields first (bus util, energy, any stacked
-        // quantities); the inner collect() fills idempotently, so this
+        // quantities); the fast collect() fills idempotently, so this
         // whole method stays fill-not-accumulate too.
-        inner_->collect(m, now);
+        fast_.collect(m, now);
 
         // Fold the slow tier into the media-wide quantities.
         m.bwUtilPct = 100.0 * busUtilization(now);
-        const DramEnergyModel energyModel(power_, slowTimings_,
-                                          slowGeom_.ranksPerChannel,
-                                          slowGeom_.banksPerRank, clk_);
-        for (const auto &mc : controllers_) {
-            m.dramEnergyNj +=
-                energyModel.estimate(mc->channel().stats(), now).totalNj();
-        }
-        const double elapsedNs =
-            controllers_.empty()
-                ? 0.0
-                : clk_.ticksToNs(
-                      now -
-                      controllers_.front()->channel().stats().statsStartTick);
-        m.dramAvgPowerMw =
-            elapsedNs > 0.0 ? m.dramEnergyNj * 1e3 / elapsedNs : 0.0;
+        slow_.addEnergyNj(m.dramEnergyNj, now);
+        m.dramAvgPowerMw = slow_.averagePowerMw(m.dramEnergyNj, now);
 
         // Tier quantities. Every ratio guards its empty
         // set: a run with no routed accesses reports a 0 hit fraction,
@@ -723,8 +597,7 @@ class TieredMemBackend final : public MemBackend
                         static_cast<double>(total)
                   : 0.0;
         LogHistogram slowHist{24};
-        for (const auto &mc : controllers_)
-            slowHist.merge(mc->stats().readLatencyHist);
+        slow_.addReadLatency(slowHist);
         m.slowTierReadLatencyP99 = slowHist.percentile(0.99);
         m.tierMigrations = migrations_;
         m.tierMigratedRows = migratedRows_;
@@ -741,6 +614,18 @@ class TieredMemBackend final : public MemBackend
         std::uint32_t tile;
         Tick until;
     };
+
+    /** @p tier, range-checked before either tier is built (the slow
+     *  tier's timings divide by slowBwPct). */
+    static const TierConfig &
+    checkedTier(const TierConfig &tier)
+    {
+        mc_assert(tier.fastCapacityPct >= 1 && tier.fastCapacityPct <= 100,
+                  "tier_capacity_pct must be in [1, 100]");
+        mc_assert(tier.slowBwPct >= 1 && tier.slowBwPct <= 100,
+                  "tier_bw must be in [1, 100]");
+        return tier;
+    }
 
     /** Slow-tier media timing: the device's, with the tier link
      *  latency on the read return path (the tTSV hook; flat devices
@@ -771,7 +656,6 @@ class TieredMemBackend final : public MemBackend
     {
         DramGeometry slow = g;
         slow.vaultsPerStack = 0;
-        slow.validate();
         return slow;
     }
 
@@ -847,14 +731,11 @@ class TieredMemBackend final : public MemBackend
 
     TierConfig tier_;
     ClockDomains clk_;
-    DramPowerParams power_;
-    DramTimings slowTimings_;
-    DramGeometry slowGeom_;
-    AddressMapper slowMapper_;
-    std::unique_ptr<MemBackend> inner_; ///< The fast tier.
+    DramBackend fast_;
+    DramBackend slow_;
     HotnessMonitor monitor_;
 
-    std::uint32_t innerQueues_ = 0;
+    std::uint32_t fastQueues_ = 0;
     std::uint64_t fastBytes_ = 0;
     std::uint64_t slowSpan_ = 0;
     std::uint64_t rowBytes_ = 0;
@@ -875,9 +756,6 @@ class TieredMemBackend final : public MemBackend
     std::uint64_t slowRouted_ = 0;
     std::uint64_t migrations_ = 0;
     std::uint64_t migratedRows_ = 0;
-
-    std::vector<std::unique_ptr<Channel>> channels_;
-    std::vector<std::unique_ptr<MemController>> controllers_;
 };
 
 } // namespace
@@ -885,11 +763,14 @@ class TieredMemBackend final : public MemBackend
 std::unique_ptr<MemBackend>
 makeMemBackend(const SimConfig &cfg, std::uint32_t numCores)
 {
+    mc_assert((cfg.backend == MemBackendKind::StackedDram) ==
+                  (cfg.dram.vaultsPerStack > 0),
+              "the stacked backend needs geometry.vaultsPerStack > 0, "
+              "the flat backend 0");
     if (cfg.tier.enabled)
         return std::make_unique<TieredMemBackend>(cfg, numCores);
-    if (cfg.backend == MemBackendKind::StackedDram)
-        return std::make_unique<StackedDramBackend>(cfg, numCores);
-    return std::make_unique<FlatDramBackend>(cfg, numCores);
+    return std::make_unique<DramBackend>(cfg, cfg.dram, cfg.timings,
+                                         numCores);
 }
 
 } // namespace mcsim

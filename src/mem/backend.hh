@@ -2,8 +2,8 @@
  * @file
  * MemBackend: the pluggable memory system behind the crossbar.
  *
- * A simulation composes a backend, not a hard-wired DramSystem. The
- * backend owns its channels/vaults and the MemController queue in
+ * A simulation composes a backend, not a hard-wired set of channels.
+ * The backend owns its channels/vaults and the MemController queue in
  * front of each, and exposes exactly the contracts the System kernels
  * already rely on:
  *
@@ -19,13 +19,16 @@
  *  - resetStats()/collect()/busUtilization(): the statistics window
  *    contract behind MetricSet, including the energy model.
  *
- * Implementations: FlatDramBackend (the paper's JEDEC DRAM system,
- * one controller per channel), StackedDramBackend (HMC-style stacks
- * with per-vault controllers, TSV return-path timing, and an optional
- * counters-driven hot-bank remapping layer with a migration cost
- * model), and TieredMemBackend (either of the above as the fast tier
- * composed with a slow CXL/NVM-like tier, fronted by a DAMON-style
- * HotnessMonitor and pluggable placement/migration policies).
+ * Implementations (src/mem/backend.cc): DramBackend builds the media
+ * of every DRAM part, one Channel and MemController per queue. A flat
+ * JEDEC part (the paper's memory system) is a stack with one vault per
+ * channel; an HMC-style stacked part has a queue per vault, TSV
+ * return-path timing, and an optional counters-driven hot-bank
+ * remapping layer with a migration cost model. TieredMemBackend holds
+ * two DramBackends: the configured part as the fast tier and a slow
+ * CXL/NVM-like tier with stretched media timings, fronted by a
+ * DAMON-style HotnessMonitor and pluggable placement/migration
+ * policies.
  */
 
 #ifndef CLOUDMC_MEM_BACKEND_HH

@@ -163,35 +163,25 @@ MemController::tryRefresh(Tick now)
     return false;
 }
 
+template <typename Fn>
 void
-MemController::scanBankPool(std::uint32_t rank, std::uint32_t bank,
-                            std::uint64_t openRow, bool &pendingHit,
-                            bool &pendingConflict) const
+MemController::forEachActive(Fn &&fn) const
 {
-    // Page policies see the *active* transaction pool: the read queue
-    // in read mode, the write queue while draining. Parked writes are
-    // not serviceable, so treating them as pending conflicts would
-    // collapse open-adaptive into close-adaptive whenever the write
-    // queue holds a few random writebacks.
-    pendingHit = false;
-    pendingConflict = false;
-    auto scan = [&](const std::vector<Request *> &q) {
-        for (const Request *req : q) {
-            if (req->coord.rank != rank || req->coord.bank != bank)
-                continue;
-            if (req->coord.row == openRow)
-                pendingHit = true;
-            else
-                pendingConflict = true;
-        }
+    // Page policies and the scheduler see the *active* transaction
+    // pool: the read queue in read mode, the write queue while
+    // draining. Parked writes are not serviceable, so treating them as
+    // pending conflicts would collapse open-adaptive into
+    // close-adaptive whenever the write queue holds a few random
+    // writebacks.
+    const auto walk = [&fn](const std::vector<Request *> &q) {
+        for (Request *req : q)
+            fn(req);
     };
     if (scheduler_->unifiedQueues()) {
-        scan(readQ_);
-        scan(writeQ_);
-    } else if (drainingWrites_) {
-        scan(writeQ_);
+        walk(readQ_);
+        walk(writeQ_);
     } else {
-        scan(readQ_);
+        walk(drainingWrites_ ? writeQ_ : readQ_);
     }
 }
 
@@ -199,53 +189,40 @@ void
 MemController::buildCandidates(Tick now)
 {
     cands_.clear();
-    auto addPool = [&](std::vector<Request *> &q) {
-        for (Request *req : q) {
-            const Bank &bank =
-                channel_.bank(req->coord.rank, req->coord.bank);
-            Candidate c;
-            c.req = req;
-            if (!bank.isOpen()) {
-                c.cmd = DramCommandType::Activate;
-                c.legalAt = channel_.nextLegalAt(
-                    DramCommand::activate(req->coord), now);
-            } else if (bank.openRow() == req->coord.row) {
-                c.cmd = req->isWrite ? DramCommandType::Write
-                                     : DramCommandType::Read;
-                c.isRowHit = true;
-                const auto cmd = req->isWrite
-                                     ? DramCommand::write(req->coord)
-                                     : DramCommand::read(req->coord);
-                c.legalAt = channel_.nextLegalAt(cmd, now);
-            } else {
-                c.cmd = DramCommandType::Precharge;
-                c.legalAt = channel_.nextLegalAt(
-                    DramCommand::precharge(req->coord.rank,
-                                           req->coord.bank),
-                    now);
-            }
-            // A backend-imposed earliest-service tick (a remap
-            // migration in flight over this request's slot) delays
-            // whichever command the request needs next. Zero for every
-            // flat-backend request.
-            if (req->availableAt > c.legalAt)
-                c.legalAt = req->availableAt;
-            // nextLegalAt clamps to now, so legality now is equivalent
-            // to canIssue() (test_event_kernel cross-checks the two;
-            // the availableAt clamp above only moves legalAt past now
-            // for mid-migration stacked-backend requests).
-            c.issuableNow = c.legalAt <= now;
-            cands_.push_back(c);
+    forEachActive([&](Request *req) {
+        const Bank &bank = channel_.bank(req->coord.rank, req->coord.bank);
+        Candidate c;
+        c.req = req;
+        if (!bank.isOpen()) {
+            c.cmd = DramCommandType::Activate;
+            c.legalAt = channel_.nextLegalAt(
+                DramCommand::activate(req->coord), now);
+        } else if (bank.openRow() == req->coord.row) {
+            c.cmd = req->isWrite ? DramCommandType::Write
+                                 : DramCommandType::Read;
+            c.isRowHit = true;
+            const auto cmd = req->isWrite
+                                 ? DramCommand::write(req->coord)
+                                 : DramCommand::read(req->coord);
+            c.legalAt = channel_.nextLegalAt(cmd, now);
+        } else {
+            c.cmd = DramCommandType::Precharge;
+            c.legalAt = channel_.nextLegalAt(
+                DramCommand::precharge(req->coord.rank, req->coord.bank),
+                now);
         }
-    };
-    if (scheduler_->unifiedQueues()) {
-        addPool(readQ_);
-        addPool(writeQ_);
-    } else if (drainingWrites_) {
-        addPool(writeQ_);
-    } else {
-        addPool(readQ_);
-    }
+        // A backend-imposed earliest-service tick (a remap migration
+        // in flight over this request's slot) delays whichever command
+        // the request needs next. Zero for every flat-backend request.
+        if (req->availableAt > c.legalAt)
+            c.legalAt = req->availableAt;
+        // nextLegalAt clamps to now, so legality now is equivalent to
+        // canIssue() (test_event_kernel cross-checks the two; the
+        // availableAt clamp above only moves legalAt past now for
+        // mid-migration stacked-backend requests).
+        c.issuableNow = c.legalAt <= now;
+        cands_.push_back(c);
+    });
 }
 
 void
@@ -336,51 +313,19 @@ MemController::BankPending
 MemController::gatherBankPending() const
 {
     BankPending bp;
-    const std::uint32_t banksPerRank =
-        channel_.numRanks() ? channel_.rank(0).numBanks() : 0;
-    if (static_cast<std::uint64_t>(channel_.numRanks()) * banksPerRank >
-        64) {
-        return bp; // Fall back to per-bank scans.
-    }
-    auto scan = [&](const std::vector<Request *> &q) {
-        for (const Request *req : q) {
-            const Bank &bank =
-                channel_.bank(req->coord.rank, req->coord.bank);
-            if (!bank.isOpen())
-                continue;
-            const std::uint64_t bit =
-                1ull << (req->coord.rank * banksPerRank + req->coord.bank);
-            if (req->coord.row == bank.openRow())
-                bp.hit |= bit;
-            else
-                bp.conflict |= bit;
-        }
-    };
-    if (scheduler_->unifiedQueues()) {
-        scan(readQ_);
-        scan(writeQ_);
-    } else if (drainingWrites_) {
-        scan(writeQ_);
-    } else {
-        scan(readQ_);
-    }
-    bp.valid = true;
+    const std::uint32_t banksPerRank = channel_.rank(0).numBanks();
+    forEachActive([&](const Request *req) {
+        const Bank &bank = channel_.bank(req->coord.rank, req->coord.bank);
+        if (!bank.isOpen())
+            return;
+        const std::uint64_t bit =
+            1ull << (req->coord.rank * banksPerRank + req->coord.bank);
+        if (req->coord.row == bank.openRow())
+            bp.hit |= bit;
+        else
+            bp.conflict |= bit;
+    });
     return bp;
-}
-
-void
-MemController::pendingOf(const BankPending &bp, std::uint32_t rank,
-                         std::uint32_t bank, std::uint64_t openRow,
-                         bool &pendingHit, bool &pendingConflict) const
-{
-    if (!bp.valid) {
-        scanBankPool(rank, bank, openRow, pendingHit, pendingConflict);
-        return;
-    }
-    const std::uint64_t bit =
-        1ull << (rank * channel_.rank(0).numBanks() + bank);
-    pendingHit = (bp.hit & bit) != 0;
-    pendingConflict = (bp.conflict & bit) != 0;
 }
 
 bool
@@ -404,7 +349,9 @@ MemController::tryPolicyPrecharge(Tick now, Tick *nextCloseEvent)
             q.accessesThisActivation = bank.accessesThisActivation();
             q.now = now;
             q.lastAccessAt = bank.lastAccessAt();
-            pendingOf(bp, r, b, q.openRow, q.pendingHit, q.pendingConflict);
+            const std::uint64_t bit = 1ull << (r * rank.numBanks() + b);
+            q.pendingHit = (bp.hit & bit) != 0;
+            q.pendingConflict = (bp.conflict & bit) != 0;
             const auto pre = DramCommand::precharge(r, b);
             if (!pagePolicy_->shouldClose(q)) {
                 consider(pagePolicy_->nextCloseEventAt(q));

@@ -152,22 +152,21 @@ class MemController
     void resetStats(Tick now);
 
   private:
+    /** Call @p fn on every request of the active transaction pool. */
+    template <typename Fn> void forEachActive(Fn &&fn) const;
+
     /**
      * Per-bank pending-row summary of the active transaction pool,
-     * computed in one pass instead of one queue scan per bank. Banks
-     * beyond 64 fall back to scanBankPool (no modeled geometry gets
-     * there today).
+     * computed in one pass instead of one queue scan per bank. Bank
+     * rank * banksPerRank + bank is one bit: DramGeometry::validate()
+     * caps a channel at 64 banks.
      */
     struct BankPending
     {
         std::uint64_t hit = 0;      ///< Bit per bank: open-row match.
         std::uint64_t conflict = 0; ///< Bit per bank: other-row request.
-        bool valid = false;
     };
     BankPending gatherBankPending() const;
-    void pendingOf(const BankPending &bp, std::uint32_t rank,
-                   std::uint32_t bank, std::uint64_t openRow,
-                   bool &pendingHit, bool &pendingConflict) const;
 
     /**
      * Earliest upcoming event for a quiescent controller (see tick()).
@@ -191,9 +190,6 @@ class MemController
     void serviceCas(Request *req, Tick now, Tick dataReadyAt);
     void recordPrecharge(std::uint32_t rank, std::uint32_t bank,
                          std::uint64_t row, std::uint32_t accesses);
-    void scanBankPool(std::uint32_t rank, std::uint32_t bank,
-                      std::uint64_t openRow, bool &pendingHit,
-                      bool &pendingConflict) const;
     void removeFromQueue(std::vector<Request *> &q, Request *req);
 
     Channel &channel_;

@@ -1,6 +1,8 @@
 #include "experiment.hh"
 
 #include <atomic>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,24 +29,35 @@ ExperimentRunner::ExperimentRunner(std::string cachePath)
         loadCache();
 }
 
+namespace {
+
+/** The positive integer in environment variable @p name, 0 when it is
+ *  unset. A malformed, zero or above-@p max value is a named error:
+ *  falling back would silently run a different sweep than asked. */
+std::uint64_t
+positiveEnv(const char *name, std::uint64_t max)
+{
+    const char *env = std::getenv(name);
+    std::uint64_t v = 0;
+    if (env && (!parseUint(env, v) || v == 0 || v > max))
+        mc_fatal(name, " must be a positive integer, got '", env, "'");
+    return v;
+}
+
+} // namespace
+
 std::uint64_t
 ExperimentRunner::fastDivisor()
 {
-    const char *env = std::getenv("CLOUDMC_FAST");
-    if (!env)
-        return 1;
-    const auto v = std::strtoull(env, nullptr, 10);
-    return v >= 1 ? v : 1;
+    const std::uint64_t v = positiveEnv("CLOUDMC_FAST", UINT64_MAX);
+    return v ? v : 1;
 }
 
 unsigned
 ExperimentRunner::defaultThreads()
 {
-    if (const char *env = std::getenv("CLOUDMC_THREADS")) {
-        const auto v = std::strtoul(env, nullptr, 10);
-        if (v >= 1)
-            return static_cast<unsigned>(v);
-    }
+    if (const auto v = positiveEnv("CLOUDMC_THREADS", UINT_MAX))
+        return static_cast<unsigned>(v);
     const unsigned hw = std::thread::hardware_concurrency();
     return hw >= 1 ? hw : 1;
 }

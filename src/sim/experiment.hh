@@ -116,11 +116,13 @@ class ExperimentRunner
     /**
      * Worker count used by the single-argument runAll():
      * CLOUDMC_THREADS when set, else std::thread::hardware_concurrency
-     * (at least 1).
+     * (at least 1). A set but malformed or zero value exits with a
+     * named error.
      */
     static unsigned defaultThreads();
 
-    /** The CLOUDMC_FAST window divisor (1 when unset or below 1). */
+    /** The CLOUDMC_FAST window divisor (1 when unset). A set but
+     *  malformed or zero value exits with a named error. */
     static std::uint64_t fastDivisor();
 
     /** Stable fingerprint of a (workload, config) point. */

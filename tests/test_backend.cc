@@ -3,12 +3,14 @@
  * The pluggable memory backend: the flat/stacked factory split, the
  * stacked registry entry, capacity-preserving vault overrides, static
  * vault-interleave routing, the dynamic remapper (migration counters
- * and the availableAt cost model), and stacked-backend runs agreeing
- * across the reference and event kernels.
+ * and the availableAt cost model), the per-queue bus-utilization
+ * average and stats reset, and stacked-backend runs agreeing across
+ * the reference and event kernels.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
 #include "dram/devices.hh"
@@ -30,6 +32,34 @@ stackedConfig(std::uint32_t vaults = 4)
     cfg.warmupCoreCycles = 20'000;
     cfg.measureCoreCycles = 50'000;
     return cfg;
+}
+
+/** A two-channel flat backend with refresh off, so hand-driven
+ *  commands meet idle channels. */
+std::unique_ptr<MemBackend>
+twoChannelFlatBackend()
+{
+    SimConfig cfg = SimConfig::baseline();
+    cfg.dram.channels = 2;
+    cfg.refreshEnabled = false;
+    return makeMemBackend(cfg, cfg.numCores);
+}
+
+/** Issue ACT+RD on (rank 0, bank 0) of @p ch starting at @p start. */
+Tick
+driveOneRead(Channel &ch, Tick start)
+{
+    DramCoord c;
+    c.row = 1;
+    Tick t = start;
+    for (const DramCommand &cmd :
+         {DramCommand::activate(c), DramCommand::read(c)}) {
+        while (!ch.canIssue(cmd, t))
+            t += kBaselineClocks.ticksPerDram;
+        ch.issue(cmd, t);
+        t += kBaselineClocks.ticksPerDram;
+    }
+    return t;
 }
 
 } // namespace
@@ -221,4 +251,33 @@ TEST(Backend, FlatRunsReportNoStackedQuantities)
     EXPECT_EQ(m.remapMigrations, 0u);
     EXPECT_EQ(m.remapMigratedRows, 0u);
     EXPECT_GT(m.memReads, 0u);
+}
+
+TEST(Backend, BusUtilizationAveragesChannels)
+{
+    auto be = twoChannelFlatBackend();
+    Channel &busy = be->queue(0).channel();
+    const Tick end = driveOneRead(busy, Tick{});
+    const Tick window = end + kBaselineClocks.dramToTicks(100);
+    const double oneBusy = busy.stats().busUtilization(window);
+    ASSERT_GT(oneBusy, 0.0);
+    // The idle second channel halves the average.
+    EXPECT_DOUBLE_EQ(be->busUtilization(window), oneBusy / 2.0);
+    MetricSet m;
+    be->collect(m, window);
+    EXPECT_DOUBLE_EQ(m.bwUtilPct, 100.0 * oneBusy / 2.0);
+}
+
+TEST(Backend, ResetStatsClearsEveryChannel)
+{
+    auto be = twoChannelFlatBackend();
+    for (std::uint32_t c = 0; c < 2; ++c)
+        driveOneRead(be->queue(c).channel(), Tick{});
+    be->resetStats(Tick{} + kBaselineClocks.dramToTicks(1'000));
+    for (std::uint32_t c = 0; c < 2; ++c) {
+        const ChannelStats &st = be->queue(c).channel().stats();
+        EXPECT_EQ(st.reads, 0u);
+        EXPECT_EQ(st.activates, 0u);
+        EXPECT_EQ(st.dataBusBusyTicks, TickSpan{0});
+    }
 }

@@ -225,6 +225,16 @@ TEST(DramGeometryDeathTest, ValidateRejectsNonPowerOfTwoFields)
                  "powers of two");
 }
 
+TEST(DramGeometryDeathTest, ValidateRejectsMoreThan64BanksPerChannel)
+{
+    DramGeometry g;
+    g.ranksPerChannel = 4;
+    g.banksPerRank = 16;
+    g.validate(); // 64 banks: the largest channel allowed.
+    g.ranksPerChannel = 8;
+    EXPECT_DEATH(g.validate(), "at most 64 banks");
+}
+
 TEST(DramGeometryDeathTest, ValidateRejectsRowSmallerThanBlock)
 {
     DramGeometry g;

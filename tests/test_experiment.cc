@@ -116,6 +116,17 @@ expectExactRecall(const char *tag,
     return fresh;
 }
 
+std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (const unsigned char c : text) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
 SimConfig
 stackedRemapConfig()
 {
@@ -808,17 +819,81 @@ TEST(ExperimentCache, GoldenRowsPinModelVersion)
     const std::string rows = readFile(path);
     std::remove(path.c_str());
 
-    std::uint64_t h = 1469598103934665603ull; // FNV-1a.
-    for (const unsigned char c : rows) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
+    const std::uint64_t h = fnv1a(rows);
     constexpr std::uint64_t kGoldenRowsHash = 0x2db4851bd698b5efull;
     EXPECT_EQ(h, kGoldenRowsHash)
         << "results changed: bump kModelVersion (src/sim/experiment.hh) "
            "and re-record kGoldenRowsHash as 0x"
         << std::hex << h << "\nrows:\n"
         << rows;
+}
+
+TEST(ExperimentCache, GoldenRowsPinTieredOverStacked)
+{
+    // The tiered point above has a DDR3 fast tier; this one pins a
+    // tiered run whose fast tier is a remapping HMC stack, so the
+    // stacked fast tier's routing, vault queues and energy are pinned
+    // through the tier too.
+    FastEnvGuard guard;
+    const std::string path = tempCachePath("golden_tiered_hmc");
+    std::remove(path.c_str());
+
+    SimConfig cfg = stackedRemapConfig();
+    cfg.remap.hotFactor = 1.05; // Swap banks within the tiny window.
+    cfg.tier = tieredHotnessConfig().tier;
+    cfg.tier.hotFactor = 1.05;
+    {
+        ExperimentRunner runner(path);
+        const auto m = runner.runAll({{WorkloadId::DS, cfg}}, 1);
+        ASSERT_EQ(runner.simulationsRun(), 1u);
+        EXPECT_GT(m[0].remapMigrations, 0u);
+        EXPECT_FALSE(m[0].perVaultReadQueue.empty());
+        EXPECT_GT(m[0].fastTierHitPct, 0.0);
+    }
+    const std::string rows = readFile(path);
+    std::remove(path.c_str());
+
+    const std::uint64_t h = fnv1a(rows);
+    constexpr std::uint64_t kGoldenRowsHash = 0x7e17a1e671e45d60ull;
+    EXPECT_EQ(h, kGoldenRowsHash)
+        << "results changed: bump kModelVersion (src/sim/experiment.hh) "
+           "and re-record kGoldenRowsHash as 0x"
+        << std::hex << h << "\nrows:\n"
+        << rows;
+}
+
+TEST(ExperimentEnv, FastDivisorReadsAPositiveInteger)
+{
+    FastEnvGuard guard;
+    EXPECT_EQ(ExperimentRunner::fastDivisor(), 1u); // Unset.
+    setenv("CLOUDMC_FAST", "20", 1);
+    EXPECT_EQ(ExperimentRunner::fastDivisor(), 20u);
+    unsetenv("CLOUDMC_FAST");
+}
+
+using ExperimentEnvDeathTest = ::testing::Test;
+
+TEST(ExperimentEnvDeathTest, MalformedOrZeroSettingsAreNamedErrors)
+{
+    // Each used to fall back silently: "abc" and "0" to a full-length
+    // run (or the hardware thread count), "20x" to 20.
+    for (const char *bad : {"abc", "20x", "0"}) {
+        SCOPED_TRACE(bad);
+        const std::string got =
+            std::string(" must be a positive integer, got '") + bad + "'";
+        EXPECT_EXIT(
+            {
+                setenv("CLOUDMC_FAST", bad, 1);
+                (void)ExperimentRunner::fastDivisor();
+            },
+            ::testing::ExitedWithCode(1), "CLOUDMC_FAST" + got);
+        EXPECT_EXIT(
+            {
+                setenv("CLOUDMC_THREADS", bad, 1);
+                (void)ExperimentRunner::defaultThreads();
+            },
+            ::testing::ExitedWithCode(1), "CLOUDMC_THREADS" + got);
+    }
 }
 
 TEST(MetricFormat, ValuesRoundTripBitExactly)

@@ -346,7 +346,7 @@ TEST(TieredBackend, CollectWithNoTrafficReportsZeros)
 
 TEST(Backend, StackedCollectTwiceIsIdentical)
 {
-    // Regression: StackedDramBackend::collect used to append to
+    // Regression: the stacked backend's collect() used to append to
     // perVaultReadQueue without clearing and accumulate energy and the
     // remap counters, so a second collect() on the same MetricSet
     // duplicated every vault entry and doubled the sums.
@@ -389,4 +389,23 @@ TEST(Backend, FlatAndTieredCollectTwiceIsIdentical)
         be->collect(once, Tick{});
         EXPECT_EQ(metricMismatch(twice, once), "") << "tiered " << tiered;
     }
+}
+
+using TieredBackendDeathTest = ::testing::Test;
+
+TEST(TieredBackendDeathTest, OutOfRangeTierSettingsAreNamedErrors)
+{
+    // Both ranges are checked before either tier is built: a zero
+    // bandwidth share used to divide by zero in the slow-tier timing
+    // scaling (SIGFPE) before its range check ran.
+    const auto build = [](std::uint32_t bwPct, std::uint32_t capPct) {
+        SimConfig cfg = SimConfig::baseline();
+        cfg.tier.enabled = true;
+        cfg.tier.slowBwPct = bwPct;
+        cfg.tier.fastCapacityPct = capPct;
+        (void)makeMemBackend(cfg, cfg.numCores);
+    };
+    EXPECT_DEATH(build(0, 50), "tier_bw must be in");
+    EXPECT_DEATH(build(101, 50), "tier_bw must be in");
+    EXPECT_DEATH(build(50, 0), "tier_capacity_pct must be in");
 }
