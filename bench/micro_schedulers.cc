@@ -31,6 +31,7 @@ makePool(std::size_t n)
         req->arrivedAt = Tick{1000 + i * 7};
         req->coord.rank = i % 2;
         req->coord.bank = (i / 2) % 8;
+        req->bankIndex = req->coord.rank * 8 + req->coord.bank;
         req->coord.row = i * 97 % 4096;
         req->isWrite = i % 4 == 0;
         Candidate c;

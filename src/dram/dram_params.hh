@@ -18,6 +18,11 @@
 
 namespace mcsim {
 
+/** Banks one channel may hold (ranks x banks per rank). The controller
+ *  keeps one bit per bank and the scheduling layer indexes fixed
+ *  per-bank arrays by Request::bankIndex, so both rely on this cap. */
+inline constexpr std::uint32_t kMaxBanksPerChannel = 64;
+
 /**
  * DRAM device timing parameters in DRAM cycles.
  *
@@ -153,8 +158,8 @@ struct DramGeometry
                   "row buffer smaller than a block");
         mc_assert(vaultsPerStack == 0 || isPowerOf2(vaultsPerStack),
                   "vault count must be zero (flat) or a power of two");
-        // The controller keeps one bit per bank of a channel.
-        mc_assert(std::uint64_t{ranksPerChannel} * banksPerRank <= 64,
+        mc_assert(std::uint64_t{ranksPerChannel} * banksPerRank <=
+                      kMaxBanksPerChannel,
                   "a channel holds at most 64 banks (ranks x banks)");
     }
 };
@@ -173,20 +178,6 @@ struct DramCoord
     {
         return channel == o.channel && rank == o.rank && bank == o.bank &&
                row == o.row && column == o.column;
-    }
-
-    /** Flat bank index within the channel. */
-    std::uint32_t
-    flatBank(const DramGeometry &g) const
-    {
-        return rank * g.banksPerRank + bank;
-    }
-
-    /** Geometry-independent (rank, bank) key for maps and sets. */
-    std::uint32_t
-    flatBankKey() const
-    {
-        return (rank << 8) | bank;
     }
 };
 

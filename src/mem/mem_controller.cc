@@ -14,7 +14,7 @@ MemController::MemController(Channel &channel,
     : channel_(channel), clk_(channel.clocks()),
       scheduler_(std::move(scheduler)),
       pagePolicy_(std::move(pagePolicy)), numCores_(numCores),
-      cfg_(std::move(cfg))
+      banksPerRank_(channel.rank(0).numBanks()), cfg_(std::move(cfg))
 {
     mc_assert(scheduler_ && pagePolicy_,
               "controller needs a scheduler and a page policy");
@@ -42,6 +42,8 @@ void
 MemController::enqueue(Request *req, Tick now)
 {
     req->arrivedAt = now;
+    req->bankIndex = static_cast<std::uint16_t>(
+        req->coord.rank * banksPerRank_ + req->coord.bank);
     if (!req->isWrite) {
         // Read-around-write forwarding: a read that matches a queued
         // write is satisfied from the write queue.
@@ -74,8 +76,7 @@ MemController::deliverResponses(Tick now)
         ++stats_.readLatencySamples;
         stats_.readLatencyTicks += latency;
         stats_.readLatencyHist.sample(clk_.ticksToCore(latency).count());
-        const auto slot =
-            req->core >= numCores_ ? numCores_ : req->core;
+        const auto slot = coreSlot(req->core, numCores_);
         ++stats_.perCoreReads[slot];
         stats_.perCoreLatencyTicks[slot] += latency;
         if (onComplete_)
@@ -127,8 +128,7 @@ MemController::tryRefresh(Tick now)
         if (rank.bank(b).isOpen()) {
             const auto pre = DramCommand::precharge(r, b);
             if (channel_.canIssue(pre, now)) {
-                recordPrecharge(r, b, rank.bank(b).openRow(),
-                                rank.bank(b).accessesThisActivation());
+                recordPrecharge(r * banksPerRank_ + b, rank.bank(b));
                 channel_.issue(pre, now);
                 return true;
             }
@@ -148,8 +148,7 @@ MemController::tryRefresh(Tick now)
             continue;
         const auto pre = DramCommand::precharge(r, b);
         if (channel_.canIssue(pre, now)) {
-            recordPrecharge(r, b, rank.bank(b).openRow(),
-                            rank.bank(b).accessesThisActivation());
+            recordPrecharge(r * banksPerRank_ + b, rank.bank(b));
             channel_.issue(pre, now);
             return true;
         }
@@ -267,11 +266,11 @@ MemController::serviceCas(Request *req, Tick now, Tick dataReadyAt)
 }
 
 void
-MemController::recordPrecharge(std::uint32_t rank, std::uint32_t bank,
-                               std::uint64_t row, std::uint32_t accesses)
+MemController::recordPrecharge(std::uint32_t bankIndex, const Bank &bank)
 {
-    stats_.activationAccesses.sample(accesses);
-    pagePolicy_->onPrecharge(rank, bank, row, accesses);
+    stats_.activationAccesses.sample(bank.accessesThisActivation());
+    pagePolicy_->onPrecharge(bankIndex, bank.openRow(),
+                             bank.accessesThisActivation());
 }
 
 bool
@@ -281,8 +280,7 @@ MemController::issueCandidate(const Candidate &cand, Tick now)
     switch (cand.cmd) {
       case DramCommandType::Precharge: {
         const Bank &bank = channel_.bank(req->coord.rank, req->coord.bank);
-        recordPrecharge(req->coord.rank, req->coord.bank, bank.openRow(),
-                        bank.accessesThisActivation());
+        recordPrecharge(req->bankIndex, bank);
         channel_.issue(
             DramCommand::precharge(req->coord.rank, req->coord.bank), now);
         req->preIssued = true;
@@ -290,8 +288,7 @@ MemController::issueCandidate(const Candidate &cand, Tick now)
       }
       case DramCommandType::Activate:
         channel_.issue(DramCommand::activate(req->coord), now);
-        pagePolicy_->onActivate(req->coord.rank, req->coord.bank,
-                                req->coord.row);
+        pagePolicy_->onActivate(req->bankIndex, req->coord.row);
         req->actIssued = true;
         return true;
       case DramCommandType::Read: {
@@ -313,13 +310,11 @@ MemController::BankPending
 MemController::gatherBankPending() const
 {
     BankPending bp;
-    const std::uint32_t banksPerRank = channel_.rank(0).numBanks();
     forEachActive([&](const Request *req) {
         const Bank &bank = channel_.bank(req->coord.rank, req->coord.bank);
         if (!bank.isOpen())
             return;
-        const std::uint64_t bit =
-            1ull << (req->coord.rank * banksPerRank + req->coord.bank);
+        const std::uint64_t bit = 1ull << req->bankIndex;
         if (req->coord.row == bank.openRow())
             bp.hit |= bit;
         else
@@ -343,13 +338,12 @@ MemController::tryPolicyPrecharge(Tick now, Tick *nextCloseEvent)
             if (!bank.isOpen())
                 continue;
             PageQuery q;
-            q.rank = r;
-            q.bank = b;
+            q.bank = r * banksPerRank_ + b;
             q.openRow = bank.openRow();
             q.accessesThisActivation = bank.accessesThisActivation();
             q.now = now;
             q.lastAccessAt = bank.lastAccessAt();
-            const std::uint64_t bit = 1ull << (r * rank.numBanks() + b);
+            const std::uint64_t bit = 1ull << q.bank;
             q.pendingHit = (bp.hit & bit) != 0;
             q.pendingConflict = (bp.conflict & bit) != 0;
             const auto pre = DramCommand::precharge(r, b);
@@ -361,7 +355,7 @@ MemController::tryPolicyPrecharge(Tick now, Tick *nextCloseEvent)
                 consider(channel_.nextLegalAt(pre, now));
                 continue;
             }
-            recordPrecharge(r, b, q.openRow, q.accessesThisActivation);
+            recordPrecharge(q.bank, bank);
             channel_.issue(pre, now);
             return true;
         }

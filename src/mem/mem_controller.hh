@@ -157,9 +157,9 @@ class MemController
 
     /**
      * Per-bank pending-row summary of the active transaction pool,
-     * computed in one pass instead of one queue scan per bank. Bank
-     * rank * banksPerRank + bank is one bit: DramGeometry::validate()
-     * caps a channel at 64 banks.
+     * computed in one pass instead of one queue scan per bank. Bit
+     * Request::bankIndex stands for that bank: DramGeometry::validate()
+     * caps a channel at kMaxBanksPerChannel (64) banks.
      */
     struct BankPending
     {
@@ -188,8 +188,9 @@ class MemController
      */
     bool tryPolicyPrecharge(Tick now, Tick *nextCloseEvent = nullptr);
     void serviceCas(Request *req, Tick now, Tick dataReadyAt);
-    void recordPrecharge(std::uint32_t rank, std::uint32_t bank,
-                         std::uint64_t row, std::uint32_t accesses);
+    /** Sample @p bank's closing activation and tell the page policy;
+     *  @p bankIndex is rank * banksPerRank + bank. */
+    void recordPrecharge(std::uint32_t bankIndex, const Bank &bank);
     void removeFromQueue(std::vector<Request *> &q, Request *req);
 
     Channel &channel_;
@@ -197,6 +198,7 @@ class MemController
     std::unique_ptr<Scheduler> scheduler_;
     std::unique_ptr<PagePolicy> pagePolicy_;
     std::uint32_t numCores_;
+    std::uint32_t banksPerRank_; ///< Bank-index stride of one rank.
     MemControllerConfig cfg_;
 
     std::vector<Request *> readQ_;

@@ -6,36 +6,17 @@ namespace mcsim {
 
 PredictivePolicyBase::PredictivePolicyBase(std::uint32_t entriesPerBank,
                                            bool recordZeroHitRows)
-    : entriesPerBank_(entriesPerBank),
-      recordZeroHitRows_(recordZeroHitRows)
+    : recordZeroHitRows_(recordZeroHitRows)
 {
-}
-
-std::vector<PredictivePolicyBase::Entry> &
-PredictivePolicyBase::bankTable(std::uint32_t rank, std::uint32_t bank)
-{
-    auto &t = tables_[(rank << 8) | bank];
-    if (t.empty())
-        t.resize(entriesPerBank_);
-    return t;
-}
-
-const std::vector<PredictivePolicyBase::Entry> *
-PredictivePolicyBase::bankTableIfAny(std::uint32_t rank,
-                                     std::uint32_t bank) const
-{
-    auto it = tables_.find((rank << 8) | bank);
-    return it == tables_.end() ? nullptr : &it->second;
+    for (auto &t : tables_)
+        t.resize(entriesPerBank);
 }
 
 int
-PredictivePolicyBase::predictedHits(std::uint32_t rank, std::uint32_t bank,
+PredictivePolicyBase::predictedHits(std::uint32_t bank,
                                     std::uint64_t row) const
 {
-    const auto *t = bankTableIfAny(rank, bank);
-    if (!t)
-        return -1;
-    for (const auto &e : *t) {
+    for (const auto &e : tables_[bank]) {
         if (e.valid && e.row == row)
             return static_cast<int>(e.hits);
     }
@@ -43,24 +24,21 @@ PredictivePolicyBase::predictedHits(std::uint32_t rank, std::uint32_t bank,
 }
 
 void
-PredictivePolicyBase::onPrecharge(std::uint32_t rank, std::uint32_t bank,
-                                  std::uint64_t row, std::uint32_t accesses)
+PredictivePolicyBase::onPrecharge(std::uint32_t bank, std::uint64_t row,
+                                  std::uint32_t accesses)
 {
+    auto &t = tables_[bank];
     // Hits = column accesses beyond the first during the activation.
     const std::uint32_t hits = accesses > 0 ? accesses - 1 : 0;
     if (hits == 0 && !recordZeroHitRows_) {
         // RBPP only tracks rows that earned at least one hit; also
         // retire a stale entry predicting hits for this row.
-        auto *t = bankTableIfAny(rank, bank);
-        if (t) {
-            for (auto &e : bankTable(rank, bank)) {
-                if (e.valid && e.row == row)
-                    e.valid = false;
-            }
+        for (auto &e : t) {
+            if (e.valid && e.row == row)
+                e.valid = false;
         }
         return;
     }
-    auto &t = bankTable(rank, bank);
     ++lruClock_;
     Entry *victim = &t[0];
     for (auto &e : t) {
@@ -83,7 +61,7 @@ PredictivePolicyBase::shouldClose(const PageQuery &q)
 {
     if (q.pendingHit)
         return false;
-    const int predicted = predictedHits(q.rank, q.bank, q.openRow);
+    const int predicted = predictedHits(q.bank, q.openRow);
     if (predicted < 0) {
         // Untracked row: behave like open-adaptive (stay open unless a
         // conflicting request is already waiting).
@@ -96,37 +74,19 @@ PredictivePolicyBase::shouldClose(const PageQuery &q)
 }
 
 HistoryPolicy::HistoryPolicy(std::uint32_t historyBits)
-    : historyBits_(historyBits), historyMask_((1u << historyBits) - 1)
+    : historyMask_((1u << historyBits) - 1)
 {
-}
-
-HistoryPolicy::BankPredictor &
-HistoryPolicy::predictor(std::uint32_t rank, std::uint32_t bank)
-{
-    auto &p = banks_[(rank << 8) | bank];
-    if (p.counters.empty()) {
-        // Weakly predict "single access": Figure 8 shows 77%-90% of
-        // activations get one access, so that is the better prior.
-        p.counters.assign(std::size_t{1} << historyBits_, 2);
-    }
-    return p;
-}
-
-const HistoryPolicy::BankPredictor *
-HistoryPolicy::predictorIfAny(std::uint32_t rank, std::uint32_t bank) const
-{
-    auto it = banks_.find((rank << 8) | bank);
-    return it == banks_.end() ? nullptr : &it->second;
+    // Weakly predict "single access": Figure 8 shows 77%-90% of
+    // activations get one access, so that is the better prior.
+    for (auto &p : banks_)
+        p.counters.assign(std::size_t{1} << historyBits, 2);
 }
 
 bool
-HistoryPolicy::predictsSingleAccess(std::uint32_t rank,
-                                    std::uint32_t bank) const
+HistoryPolicy::predictsSingleAccess(std::uint32_t bank) const
 {
-    const auto *p = predictorIfAny(rank, bank);
-    if (!p || p->counters.empty())
-        return true; // The constructor prior, without materializing.
-    return p->counters[p->history & historyMask_] >= 2;
+    const BankPredictor &p = banks_[bank];
+    return p.counters[p.history & historyMask_] >= 2;
 }
 
 bool
@@ -134,19 +94,17 @@ HistoryPolicy::shouldClose(const PageQuery &q)
 {
     if (q.pendingHit)
         return false;
-    if (q.accessesThisActivation >= 1 &&
-        predictsSingleAccess(q.rank, q.bank)) {
+    if (q.accessesThisActivation >= 1 && predictsSingleAccess(q.bank))
         return true;
-    }
     // Predicted reuse: behave like open-adaptive.
     return q.pendingConflict;
 }
 
 void
-HistoryPolicy::onPrecharge(std::uint32_t rank, std::uint32_t bank,
-                           std::uint64_t, std::uint32_t accesses)
+HistoryPolicy::onPrecharge(std::uint32_t bank, std::uint64_t,
+                           std::uint32_t accesses)
 {
-    BankPredictor &p = predictor(rank, bank);
+    BankPredictor &p = banks_[bank];
     const bool single = accesses <= 1;
     std::uint8_t &ctr = p.counters[p.history & historyMask_];
     if (single) {

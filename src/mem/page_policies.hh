@@ -27,10 +27,11 @@
 #ifndef CLOUDMC_MEM_PAGE_POLICIES_HH
 #define CLOUDMC_MEM_PAGE_POLICIES_HH
 
+#include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "dram/dram_params.hh"
 #include "page_policy.hh"
 
 namespace mcsim {
@@ -39,7 +40,6 @@ namespace mcsim {
 class OpenPolicy : public PagePolicy
 {
   public:
-    const char *name() const override { return "Open"; }
     bool shouldClose(const PageQuery &) override { return false; }
 };
 
@@ -47,7 +47,6 @@ class OpenPolicy : public PagePolicy
 class ClosePolicy : public PagePolicy
 {
   public:
-    const char *name() const override { return "Close"; }
     bool
     shouldClose(const PageQuery &q) override
     {
@@ -59,7 +58,6 @@ class ClosePolicy : public PagePolicy
 class OpenAdaptivePolicy : public PagePolicy
 {
   public:
-    const char *name() const override { return "OpenAdaptive"; }
     bool
     shouldClose(const PageQuery &q) override
     {
@@ -71,7 +69,6 @@ class OpenAdaptivePolicy : public PagePolicy
 class CloseAdaptivePolicy : public PagePolicy
 {
   public:
-    const char *name() const override { return "CloseAdaptive"; }
     bool
     shouldClose(const PageQuery &q) override
     {
@@ -93,12 +90,11 @@ class PredictivePolicyBase : public PagePolicy
                          bool recordZeroHitRows);
 
     bool shouldClose(const PageQuery &q) override;
-    void onPrecharge(std::uint32_t rank, std::uint32_t bank,
-                     std::uint64_t row, std::uint32_t accesses) override;
+    void onPrecharge(std::uint32_t bank, std::uint64_t row,
+                     std::uint32_t accesses) override;
 
     /** Predicted hit count for a row, or -1 when untracked. */
-    int predictedHits(std::uint32_t rank, std::uint32_t bank,
-                      std::uint64_t row) const;
+    int predictedHits(std::uint32_t bank, std::uint64_t row) const;
 
   private:
     struct Entry
@@ -109,16 +105,10 @@ class PredictivePolicyBase : public PagePolicy
         bool valid = false;
     };
 
-    std::vector<Entry> &bankTable(std::uint32_t rank, std::uint32_t bank);
-    const std::vector<Entry> *bankTableIfAny(std::uint32_t rank,
-                                             std::uint32_t bank) const;
-
-    std::uint32_t entriesPerBank_;
     bool recordZeroHitRows_;
     std::uint64_t lruClock_ = 0;
-    // Keyed lookup/insert only (page_policies.cc); never iterated.
-    // detlint-allow(unordered-iter): bucket order never observed
-    std::unordered_map<std::uint32_t, std::vector<Entry>> tables_;
+    /** Per-bank table; all-invalid until the bank's first record. */
+    std::array<std::vector<Entry>, kMaxBanksPerChannel> tables_;
 };
 
 /** Row-Based Page Policy: 4 most-accessed-row registers per bank. */
@@ -129,7 +119,6 @@ class RbppPolicy : public PredictivePolicyBase
         : PredictivePolicyBase(marrsPerBank, false)
     {
     }
-    const char *name() const override { return "RBPP"; }
 };
 
 /** Access-Based Page Policy: 16-entry per-bank history table. */
@@ -140,7 +129,6 @@ class AbppPolicy : public PredictivePolicyBase
         : PredictivePolicyBase(entriesPerBank, true)
     {
     }
-    const char *name() const override { return "ABPP"; }
 };
 
 /** Timer-based closure: precharge after a fixed idle time. */
@@ -154,7 +142,6 @@ class TimerPolicy : public PagePolicy
     {
     }
 
-    const char *name() const override { return "Timer"; }
     bool
     shouldClose(const PageQuery &q) override
     {
@@ -186,13 +173,12 @@ class HistoryPolicy : public PagePolicy
   public:
     explicit HistoryPolicy(std::uint32_t historyBits = 4);
 
-    const char *name() const override { return "History"; }
     bool shouldClose(const PageQuery &q) override;
-    void onPrecharge(std::uint32_t rank, std::uint32_t bank,
-                     std::uint64_t row, std::uint32_t accesses) override;
+    void onPrecharge(std::uint32_t bank, std::uint64_t row,
+                     std::uint32_t accesses) override;
 
     /** True if the bank's predictor currently predicts single access. */
-    bool predictsSingleAccess(std::uint32_t rank, std::uint32_t bank) const;
+    bool predictsSingleAccess(std::uint32_t bank) const;
 
   private:
     struct BankPredictor
@@ -201,15 +187,8 @@ class HistoryPolicy : public PagePolicy
         std::vector<std::uint8_t> counters; ///< 2-bit, init weakly-taken.
     };
 
-    BankPredictor &predictor(std::uint32_t rank, std::uint32_t bank);
-    const BankPredictor *predictorIfAny(std::uint32_t rank,
-                                        std::uint32_t bank) const;
-
-    std::uint32_t historyBits_;
     std::uint32_t historyMask_;
-    // Keyed lookup/insert only (page_policies.cc); never iterated.
-    // detlint-allow(unordered-iter): bucket order never observed
-    std::unordered_map<std::uint32_t, BankPredictor> banks_;
+    std::array<BankPredictor, kMaxBanksPerChannel> banks_;
 };
 
 } // namespace mcsim

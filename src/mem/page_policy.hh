@@ -20,8 +20,7 @@ namespace mcsim {
 /** Snapshot of one open bank's state for a closure decision. */
 struct PageQuery
 {
-    std::uint32_t rank = 0;
-    std::uint32_t bank = 0;
+    std::uint32_t bank = 0; ///< Bank within the channel (bankIndex).
     std::uint64_t openRow = 0;
     std::uint32_t accessesThisActivation = 0;
     bool pendingHit = false;      ///< Pool has a request for the open row.
@@ -35,9 +34,6 @@ class PagePolicy
 {
   public:
     virtual ~PagePolicy() = default;
-
-    /** Short policy name used in result tables. */
-    virtual const char *name() const = 0;
 
     /** Should the controller issue an idle PRE to this bank now? */
     virtual bool shouldClose(const PageQuery &q) = 0;
@@ -58,18 +54,15 @@ class PagePolicy
         return kMaxTick;
     }
 
-    /** A row was activated in (rank, bank). */
-    virtual void onActivate(std::uint32_t, std::uint32_t, std::uint64_t) {}
+    /** A row was activated in a bank (a Request::bankIndex). */
+    virtual void onActivate(std::uint32_t, std::uint64_t) {}
 
     /**
-     * A row was closed after @p accesses column accesses (>= 1 unless
-     * the activation was wasted).
+     * A row of a bank (a Request::bankIndex) was closed after
+     * @p accesses column accesses (>= 1 unless the activation was
+     * wasted).
      */
-    virtual void
-    onPrecharge(std::uint32_t, std::uint32_t, std::uint64_t,
-                std::uint32_t)
-    {
-    }
+    virtual void onPrecharge(std::uint32_t, std::uint64_t, std::uint32_t) {}
 };
 
 } // namespace mcsim

@@ -29,6 +29,11 @@ struct Request
     CoreId core = 0;
     bool isWrite = false;
     bool isIo = false; ///< Issued by a DMA/IO engine, not a core.
+    /** Bank within the channel, coord.rank * banksPerRank + coord.bank
+     *  (< kMaxBanksPerChannel); stamped by MemController::enqueue. The
+     *  scheduling layer's one bank key. Sits in the padding before
+     *  addr, so Request keeps its size. */
+    std::uint16_t bankIndex = 0;
 
     Addr addr = 0;       ///< Block-aligned physical address.
     DramCoord coord;     ///< Decoded channel/rank/bank/row/column.

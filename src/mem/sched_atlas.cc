@@ -46,7 +46,7 @@ AtlasScheduler::tick(Tick now, const SchedulerContext &)
 void
 AtlasScheduler::onRequestServiced(const Request &req)
 {
-    quantumAs_[slot(req.core)] += cfg_.serviceUnitsPerCas;
+    quantumAs_[coreSlot(req.core, numCores_)] += cfg_.serviceUnitsPerCas;
 }
 
 int
@@ -58,26 +58,18 @@ AtlasScheduler::choose(const std::vector<Candidate> &cands, Tick now,
         return now - c.req->arrivedAt >= starveTicks;
     };
     // Over-threshold > core rank (least attained service) > hit > age.
-    auto better = [&](const Candidate &a, const Candidate &b) {
+    return pickBest(cands, [&](const Candidate &a, const Candidate &b) {
         const bool sa = starved(a), sb = starved(b);
         if (sa != sb)
             return sa;
-        const auto ra = rank_[slot(a.req->core)];
-        const auto rb = rank_[slot(b.req->core)];
+        const auto ra = rank_[coreSlot(a.req->core, numCores_)];
+        const auto rb = rank_[coreSlot(b.req->core, numCores_)];
         if (ra != rb)
             return ra < rb;
         if (a.isRowHit != b.isRowHit)
             return a.isRowHit;
         return a.req->arrivedAt < b.req->arrivedAt;
-    };
-    int best = -1;
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-        if (!cands[i].issuableNow)
-            continue;
-        if (best < 0 || better(cands[i], cands[best]))
-            best = static_cast<int>(i);
-    }
-    return best;
+    });
 }
 
 } // namespace mcsim

@@ -43,7 +43,6 @@ class AtlasScheduler : public Scheduler
     AtlasScheduler(std::uint32_t numCores, AtlasConfig cfg = AtlasConfig{},
                    const ClockDomains &clk = kBaselineClocks);
 
-    const char *name() const override { return "ATLAS"; }
     int choose(const std::vector<Candidate> &cands, Tick now,
                const SchedulerContext &ctx) override;
     void onRequestServiced(const Request &req) override;
@@ -52,18 +51,20 @@ class AtlasScheduler : public Scheduler
     Tick nextEventAt(Tick) const override { return quantumEndsAt_; }
 
     /** Rank of a core (0 = highest priority); for tests. */
-    std::uint32_t coreRank(CoreId c) const { return rank_[slot(c)]; }
+    std::uint32_t coreRank(CoreId c) const
+    {
+        return rank_[coreSlot(c, numCores_)];
+    }
 
     /** Smoothed total attained service of a core; for tests. */
-    double totalService(CoreId c) const { return totalAs_[slot(c)]; }
+    double totalService(CoreId c) const
+    {
+        return totalAs_[coreSlot(c, numCores_)];
+    }
 
     std::uint64_t quantaElapsed() const { return quanta_; }
 
   private:
-    std::uint32_t slot(CoreId c) const
-    {
-        return c >= numCores_ ? numCores_ : c;
-    }
     void newQuantum();
 
     std::uint32_t numCores_;

@@ -1,6 +1,6 @@
 #include "sched_basic.hh"
 
-#include <unordered_map>
+#include <array>
 
 namespace mcsim {
 
@@ -25,29 +25,22 @@ int
 FcfsBanksScheduler::choose(const std::vector<Candidate> &cands, Tick,
                            const SchedulerContext &)
 {
-    // Oldest request per (rank, bank) is eligible; among the eligible
-    // and issuable ones, pick the oldest overall (age fairness across
-    // banks; the bank queues themselves are strictly in order). The
-    // map is insert/lookup-only; selection walks the candidate vector
-    // in index order with an (arrivedAt, id) tie-break, so two banks
-    // whose heads arrived on the same tick resolve identically on
-    // every stdlib (hash iteration order is not deterministic).
-    // detlint-allow(unordered-iter): headOfBank is never iterated.
-    std::unordered_map<std::uint32_t, int> headOfBank;
+    // The oldest request per bank is eligible (the first one on equal
+    // arrival); among the eligible and issuable ones, pick the oldest
+    // overall, lower request id on equal arrival (age fairness across
+    // banks; the bank queues themselves are strictly in order).
+    std::array<int, kMaxBanksPerChannel> headOfBank;
+    headOfBank.fill(-1);
     for (std::size_t i = 0; i < cands.size(); ++i) {
-        const auto key = (cands[i].req->coord.rank << 8) |
-                         cands[i].req->coord.bank;
-        auto it = headOfBank.find(key);
-        if (it == headOfBank.end() ||
-            cands[i].req->arrivedAt < cands[it->second].req->arrivedAt) {
-            headOfBank[key] = static_cast<int>(i);
+        int &head = headOfBank[cands[i].req->bankIndex];
+        if (head < 0 ||
+            cands[i].req->arrivedAt < cands[head].req->arrivedAt) {
+            head = static_cast<int>(i);
         }
     }
     int best = -1;
     for (std::size_t i = 0; i < cands.size(); ++i) {
-        const auto key = (cands[i].req->coord.rank << 8) |
-                         cands[i].req->coord.bank;
-        if (headOfBank[key] != static_cast<int>(i))
+        if (headOfBank[cands[i].req->bankIndex] != static_cast<int>(i))
             continue; // Not the head of its bank queue.
         if (!cands[i].issuableNow)
             continue;
@@ -65,24 +58,12 @@ int
 FrFcfsScheduler::choose(const std::vector<Candidate> &cands, Tick,
                         const SchedulerContext &)
 {
-    int bestHit = -1;
-    int bestAny = -1;
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-        if (!cands[i].issuableNow)
-            continue;
-        const int idx = static_cast<int>(i);
-        if (cands[i].isRowHit) {
-            if (bestHit < 0 ||
-                cands[i].req->arrivedAt < cands[bestHit].req->arrivedAt) {
-                bestHit = idx;
-            }
-        }
-        if (bestAny < 0 ||
-            cands[i].req->arrivedAt < cands[bestAny].req->arrivedAt) {
-            bestAny = idx;
-        }
-    }
-    return bestHit >= 0 ? bestHit : bestAny;
+    // Row hits first, then older requests.
+    return pickBest(cands, [](const Candidate &a, const Candidate &b) {
+        if (a.isRowHit != b.isRowHit)
+            return a.isRowHit;
+        return a.req->arrivedAt < b.req->arrivedAt;
+    });
 }
 
 } // namespace mcsim

@@ -21,7 +21,6 @@ namespace mcsim {
 class FcfsScheduler : public Scheduler
 {
   public:
-    const char *name() const override { return "FCFS"; }
     int choose(const std::vector<Candidate> &cands, Tick now,
                const SchedulerContext &ctx) override;
 };
@@ -35,7 +34,6 @@ class FcfsScheduler : public Scheduler
 class FcfsBanksScheduler : public Scheduler
 {
   public:
-    const char *name() const override { return "FCFS_banks"; }
     int choose(const std::vector<Candidate> &cands, Tick now,
                const SchedulerContext &ctx) override;
 };
@@ -47,7 +45,6 @@ class FcfsBanksScheduler : public Scheduler
 class FrFcfsScheduler : public Scheduler
 {
   public:
-    const char *name() const override { return "FR-FCFS"; }
     int choose(const std::vector<Candidate> &cands, Tick now,
                const SchedulerContext &ctx) override;
 };

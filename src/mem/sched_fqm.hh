@@ -16,7 +16,6 @@
 #define CLOUDMC_MEM_SCHED_FQM_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "scheduler.hh"
@@ -29,25 +28,22 @@ class FqmScheduler : public Scheduler
   public:
     explicit FqmScheduler(std::uint32_t numCores);
 
-    const char *name() const override { return "FQM"; }
     int choose(const std::vector<Candidate> &cands, Tick now,
                const SchedulerContext &ctx) override;
     void onRequestServiced(const Request &req) override;
 
-    /** Virtual time of (core, bankKey); for tests. */
-    std::uint64_t virtualTime(CoreId core, std::uint32_t bankKey) const;
-
-  private:
-    std::uint32_t slot(CoreId c) const
+    /** Virtual time of @p core at bank @p bankIndex. */
+    std::uint64_t
+    virtualTime(CoreId core, std::uint32_t bankIndex) const
     {
-        return c >= numCores_ ? numCores_ : c;
+        return vtime_[bankIndex * (numCores_ + 1) +
+                      coreSlot(core, numCores_)];
     }
 
+  private:
     std::uint32_t numCores_;
-    /** bankKey -> per-core virtual time. */
-    // Keyed lookup/insert only (sched_fqm.cc); never iterated.
-    // detlint-allow(unordered-iter): bucket order never observed
-    std::unordered_map<std::uint32_t, std::vector<std::uint64_t>> vtime_;
+    /** Per-core virtual time of every bank, bank-major. */
+    std::vector<std::uint64_t> vtime_;
 };
 
 } // namespace mcsim

@@ -7,17 +7,6 @@
 
 namespace mcsim {
 
-namespace {
-
-/** Effective core index: IO engines share one rank slot at the end. */
-std::uint32_t
-coreSlot(const Request &req, std::uint32_t numCores)
-{
-    return req.core >= numCores ? numCores : req.core;
-}
-
-} // namespace
-
 ParBsScheduler::ParBsScheduler(std::uint32_t numCores, ParBsConfig cfg)
     : numCores_(numCores), cfg_(cfg), rank_(numCores + 1, 0)
 {
@@ -32,8 +21,8 @@ ParBsScheduler::formBatch(const std::vector<Candidate> &cands)
              std::vector<Request *>> perCoreBank;
     for (const auto &c : cands) {
         const auto key =
-            std::make_pair(coreSlot(*c.req, numCores_),
-                           c.req->coord.flatBankKey());
+            std::make_pair(coreSlot(c.req->core, numCores_),
+                           c.req->bankIndex);
         perCoreBank[key].push_back(c.req);
     }
     markedOutstanding_ = 0;
@@ -70,8 +59,8 @@ ParBsScheduler::computeRanks(const std::vector<Candidate> &cands)
     for (const auto &c : cands) {
         if (!c.req->marked)
             continue;
-        auto &l = load[coreSlot(*c.req, numCores_)];
-        ++l.perBank[c.req->coord.flatBankKey()];
+        auto &l = load[coreSlot(c.req->core, numCores_)];
+        ++l.perBank[c.req->bankIndex];
         ++l.total;
     }
     std::vector<std::uint32_t> order(numCores_ + 1);
@@ -111,25 +100,17 @@ ParBsScheduler::choose(const std::vector<Candidate> &cands, Tick,
         formBatch(cands);
 
     // Priority: marked > row-hit > rank > age.
-    int best = -1;
-    auto better = [&](const Candidate &a, const Candidate &b) {
+    return pickBest(cands, [&](const Candidate &a, const Candidate &b) {
         if (a.req->marked != b.req->marked)
             return a.req->marked;
         if (a.isRowHit != b.isRowHit)
             return a.isRowHit;
-        const auto ra = rank_[coreSlot(*a.req, numCores_)];
-        const auto rb = rank_[coreSlot(*b.req, numCores_)];
+        const auto ra = rank_[coreSlot(a.req->core, numCores_)];
+        const auto rb = rank_[coreSlot(b.req->core, numCores_)];
         if (ra != rb)
             return ra < rb;
         return a.req->arrivedAt < b.req->arrivedAt;
-    };
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-        if (!cands[i].issuableNow)
-            continue;
-        if (best < 0 || better(cands[i], cands[best]))
-            best = static_cast<int>(i);
-    }
-    return best;
+    });
 }
 
 } // namespace mcsim

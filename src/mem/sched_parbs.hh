@@ -34,7 +34,6 @@ class ParBsScheduler : public Scheduler
     explicit ParBsScheduler(std::uint32_t numCores,
                             ParBsConfig cfg = ParBsConfig{});
 
-    const char *name() const override { return "PAR-BS"; }
     int choose(const std::vector<Candidate> &cands, Tick now,
                const SchedulerContext &ctx) override;
     void onRequestServiced(const Request &req) override;
@@ -43,7 +42,11 @@ class ParBsScheduler : public Scheduler
     std::uint64_t batchesFormed() const { return batchesFormed_; }
 
     /** Current rank of a core; lower value = higher priority. */
-    std::uint32_t coreRank(CoreId c) const { return rank_[c]; }
+    std::uint32_t
+    coreRank(CoreId c) const
+    {
+        return rank_[coreSlot(c, numCores_)];
+    }
 
   private:
     void formBatch(const std::vector<Candidate> &cands);

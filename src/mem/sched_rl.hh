@@ -51,7 +51,6 @@ class RlScheduler : public Scheduler
     explicit RlScheduler(RlConfig cfg = RlConfig{},
                          const ClockDomains &clk = kBaselineClocks);
 
-    const char *name() const override { return "RL"; }
     int choose(const std::vector<Candidate> &cands, Tick now,
                const SchedulerContext &ctx) override;
     bool unifiedQueues() const override { return true; }

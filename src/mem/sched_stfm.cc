@@ -29,7 +29,7 @@ StfmScheduler::aloneServiceTicks(const Request &req, bool isRowHit) const
 double
 StfmScheduler::slowdownOf(CoreId core) const
 {
-    const auto s = slot(core);
+    const auto s = coreSlot(core, numCores_);
     if (aloneTicks_[s] <= 0.0)
         return 1.0;
     const double ratio = sharedTicks_[s] / aloneTicks_[s];
@@ -74,7 +74,7 @@ StfmScheduler::victimCore() const
 void
 StfmScheduler::accountService(const Candidate &c, Tick now)
 {
-    const auto s = slot(c.req->core);
+    const auto s = coreSlot(c.req->core, numCores_);
     sharedTicks_[s] += static_cast<double>((now - c.req->arrivedAt).count());
     aloneTicks_[s] += static_cast<double>(
         aloneServiceTicks(*c.req, c.isRowHit).count());
@@ -106,10 +106,9 @@ StfmScheduler::choose(const std::vector<Candidate> &cands, Tick now,
         if (aStarved != bStarved)
             return aStarved;
         if (victim >= 0) {
-            const bool aVictim =
-                slot(a.req->core) == static_cast<std::uint32_t>(victim);
-            const bool bVictim =
-                slot(b.req->core) == static_cast<std::uint32_t>(victim);
+            const auto v = static_cast<std::uint32_t>(victim);
+            const bool aVictim = coreSlot(a.req->core, numCores_) == v;
+            const bool bVictim = coreSlot(b.req->core, numCores_) == v;
             if (aVictim != bVictim)
                 return aVictim;
         }
@@ -118,14 +117,7 @@ StfmScheduler::choose(const std::vector<Candidate> &cands, Tick now,
             return a.isRowHit;
         return a.req->arrivedAt < b.req->arrivedAt;
     };
-
-    int best = -1;
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-        if (!cands[i].issuableNow)
-            continue;
-        if (best < 0 || better(cands[i], cands[best]))
-            best = static_cast<int>(i);
-    }
+    const int best = pickBest(cands, better);
     if (best >= 0) {
         const auto cmd = cands[best].cmd;
         if (cmd == DramCommandType::Read || cmd == DramCommandType::Write)

@@ -54,7 +54,6 @@ class StfmScheduler : public Scheduler
         const ClockDomains &clk = kBaselineClocks,
         const DramTimings &timings = DramTimings::ddr3_1600());
 
-    const char *name() const override { return "STFM"; }
     int choose(const std::vector<Candidate> &cands, Tick now,
                const SchedulerContext &ctx) override;
     void tick(Tick now, const SchedulerContext &ctx) override;
@@ -68,10 +67,6 @@ class StfmScheduler : public Scheduler
     double unfairness() const;
 
   private:
-    std::uint32_t slot(CoreId c) const
-    {
-        return c >= numCores_ ? numCores_ : c;
-    }
     /** The core to elevate, or -1 when the system is fair. */
     int victimCore() const;
     TickSpan aloneServiceTicks(const Request &req, bool isRowHit) const;

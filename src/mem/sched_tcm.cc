@@ -20,13 +20,13 @@ TcmScheduler::TcmScheduler(std::uint32_t numCores, TcmConfig cfg,
 void
 TcmScheduler::onRequestArrived(const Request &req)
 {
-    ++arrived_[slot(req.core)];
+    ++arrived_[coreSlot(req.core, numCores_)];
 }
 
 void
 TcmScheduler::onRequestServiced(const Request &req)
 {
-    ++serviced_[slot(req.core)];
+    ++serviced_[coreSlot(req.core, numCores_)];
 }
 
 void
@@ -107,32 +107,21 @@ TcmScheduler::choose(const std::vector<Candidate> &cands, Tick now,
                      const SchedulerContext &)
 {
     const TickSpan starveTicks = clk_.coreToTicks(cfg_.starvationCycles);
-    int best = -1;
-
-    const auto betterThan = [&](const Candidate &a,
-                                const Candidate &b) -> bool {
+    return pickBest(cands, [&](const Candidate &a, const Candidate &b) {
         const bool aStarved = now - a.req->arrivedAt >= starveTicks;
         const bool bStarved = now - b.req->arrivedAt >= starveTicks;
         if (aStarved != bStarved)
             return aStarved;
         if (aStarved) // Among starved requests: strictly oldest first.
             return a.req->arrivedAt < b.req->arrivedAt;
-        const auto pa = prio_[slot(a.req->core)];
-        const auto pb = prio_[slot(b.req->core)];
+        const auto pa = prio_[coreSlot(a.req->core, numCores_)];
+        const auto pb = prio_[coreSlot(b.req->core, numCores_)];
         if (pa != pb)
             return pa < pb;
         if (a.isRowHit != b.isRowHit)
             return a.isRowHit;
         return a.req->arrivedAt < b.req->arrivedAt;
-    };
-
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-        if (!cands[i].issuableNow)
-            continue;
-        if (best < 0 || betterThan(cands[i], cands[best]))
-            best = static_cast<int>(i);
-    }
-    return best;
+    });
 }
 
 } // namespace mcsim

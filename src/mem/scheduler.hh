@@ -9,6 +9,13 @@
  * picks one issuable candidate (or none). This factoring lets request-
  * level policies (FCFS, FR-FCFS, PAR-BS, ATLAS) and command-level
  * policies (RL) share one interface.
+ *
+ * The priority schedulers (FR-FCFS, PAR-BS, ATLAS, TCM, STFM, FQM)
+ * state only a strict "a beats b" comparator and select through
+ * Scheduler::pickBest, which owns the one tie rule: the first issuable
+ * candidate that no later candidate strictly beats, so equal
+ * candidates resolve to the lowest index (the earlier queue position).
+ * FCFS, FCFS_banks (head-of-bank filter) and RL keep their own loops.
  */
 
 #ifndef CLOUDMC_MEM_SCHEDULER_HH
@@ -35,6 +42,14 @@ struct Candidate
     Tick legalAt;
 };
 
+/** Per-core state slot of @p core: cores 0..numCores-1 own one each,
+ *  every IO engine (core id >= numCores) shares slot numCores. */
+inline std::uint32_t
+coreSlot(CoreId core, std::uint32_t numCores)
+{
+    return core >= numCores ? numCores : core;
+}
+
 /** Controller state visible to schedulers (beyond the candidates). */
 struct SchedulerContext
 {
@@ -54,9 +69,6 @@ class Scheduler
 {
   public:
     virtual ~Scheduler() = default;
-
-    /** Short policy name used in result tables. */
-    virtual const char *name() const = 0;
 
     /**
      * Pick a candidate index to issue this cycle, or -1 to stay idle.
@@ -100,18 +112,21 @@ class Scheduler
     virtual bool unifiedQueues() const { return false; }
 
   protected:
-    /** Oldest issuable candidate; shared tie-break helper. -1 if none. */
+    /**
+     * Index of the first issuable candidate that no later issuable
+     * candidate strictly beats under @p better(a, b) ("a beats b"), or
+     * -1 if none is issuable. Ties keep the lowest index.
+     */
+    template <typename Better>
     static int
-    oldestIssuable(const std::vector<Candidate> &cands)
+    pickBest(const std::vector<Candidate> &cands, Better &&better)
     {
         int best = -1;
         for (std::size_t i = 0; i < cands.size(); ++i) {
             if (!cands[i].issuableNow)
                 continue;
-            if (best < 0 ||
-                cands[i].req->arrivedAt < cands[best].req->arrivedAt) {
+            if (best < 0 || better(cands[i], cands[best]))
                 best = static_cast<int>(i);
-            }
         }
         return best;
     }

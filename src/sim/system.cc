@@ -175,7 +175,7 @@ System::ioStep()
 }
 
 void
-System::coreStep(bool eager)
+System::coreStep()
 {
     while (toCpu_.ready(now_)) {
         const CpuResponse resp = toCpu_.pop();
@@ -184,13 +184,11 @@ System::coreStep(bool eager)
     const CoreCycle cycle = coreCycles_;
     CoreCycle minAct = kNeverCycle;
     for (std::size_t i = 0; i < cores_.size(); ++i) {
-        if (eager || coreDueCycle_[i] <= cycle) {
-            Core &core = *cores_[i];
-            core.catchUpTo(cycle);
-            core.tick();
-            ++kernelStats_.coreTicksRun;
-            coreDueCycle_[i] = core.nextActCycle();
-        }
+        Core &core = *cores_[i];
+        core.catchUpTo(cycle);
+        core.tick();
+        ++kernelStats_.coreTicksRun;
+        coreDueCycle_[i] = core.nextActCycle();
         if (coreDueCycle_[i] < minAct)
             minAct = coreDueCycle_[i];
     }
@@ -219,7 +217,7 @@ System::coreStepEvent()
             Core &core = *cores_[i];
             // Guarded inline: a core that batched to (or past) this
             // cycle has nothing to account, which is the common case
-            // here — unlike the eager loop, where catch-up is almost
+            // here — unlike coreStep(), where catch-up is almost
             // always a no-op and stays an out-of-line call.
             if (core.syncedCycles() < cycle)
                 core.catchUpTo(cycle);
@@ -344,7 +342,7 @@ System::referenceAdvance(Tick end)
     const ClockDomains &clk = cfg_.clocks;
     while (now_ < end) {
         if (now_ % clk.ticksPerCore == TickSpan{0})
-            coreStep(true);
+            coreStep();
         if (now_ % clk.ticksPerDram == TickSpan{0})
             memStep(true);
         now_ += TickSpan{1};

@@ -131,7 +131,8 @@ class System
     };
 
     void build(const SimConfig &cfg, std::uint32_t numCores);
-    void coreStep(bool eager);
+    /** One core-domain step of the reference loop: ticks every core. */
+    void coreStep();
     /** coreStep specialized for the event kernel: due-scan + batching. */
     void coreStepEvent();
     void memStep(bool eager);

@@ -283,32 +283,15 @@ Op
 SyntheticWorkload::nextOp(CoreId core)
 {
     CoreState &cs = cores_[core];
-
-    if (cs.resumePending) {
-        // tryNextOpLocal() already consumed this reference's run and
-        // region draws; finish it here, at the globally ordered turn,
-        // where touching the shared frontier is legal.
-        cs.resumePending = false;
-        return finishMemoryOp(cs, cs.resumeRegion);
-    }
-
-    if (!cs.pendingMem) {
-        // Choose the length of the next non-memory run. Under a
-        // Bernoulli(p) per-instruction memory-reference model the run
-        // length is geometric.
-        const std::uint32_t run = runLength(cs, cs.rng.nextDouble());
-        if (run > 0) {
-            cs.pendingMem = true;
-            Op op;
-            op.kind = Op::Kind::Compute;
-            op.length = std::min<std::uint32_t>(run, 512);
-            advancePhase(cs, op.length);
-            return op;
-        }
-    }
-    cs.pendingMem = false;
-    advancePhase(cs, 1);
-    return finishMemoryOp(cs, pickRegion(cs));
+    Op op;
+    if (!cs.resumePending && SyntheticWorkload::tryNextOpLocal(core, op))
+        return op;
+    // A reference tryNextOpLocal() refused, earlier or just now, has
+    // its run and region draws consumed already; finish it here, at
+    // the globally ordered turn, where touching the shared frontier is
+    // legal.
+    cs.resumePending = false;
+    return finishMemoryOp(cs, cs.resumeRegion);
 }
 
 bool

@@ -372,6 +372,68 @@ TEST(MemController, IoCoreStatsUseOverflowSlot)
     EXPECT_EQ(h.mc.stats().perCoreReads[16], 1u);
 }
 
+TEST(MemController, EnqueueStampsBankIndex)
+{
+    // Two ranks of eight banks: rank r, bank b is bank index 8r + b.
+    Harness h;
+    ASSERT_EQ(h.geom.ranksPerChannel, 2u);
+    ASSERT_EQ(h.geom.banksPerRank, 8u);
+    const std::uint32_t banksPerRank = h.geom.banksPerRank;
+    struct Case
+    {
+        std::uint32_t rank, bank, index;
+    };
+    for (const Case c : {Case{0, 0, 0}, Case{0, 3, 3}, Case{1, 0, 8},
+                         Case{1, 7, 15}}) {
+        const Addr a = addrOf(1, c.rank * banksPerRank + c.bank, 0);
+        Request *req = h.makeReq(a, false);
+        ASSERT_EQ(req->coord.rank, c.rank);
+        ASSERT_EQ(req->coord.bank, c.bank);
+        h.mc.enqueue(req, h.now);
+        EXPECT_EQ(req->bankIndex, c.index);
+    }
+    h.run(500);
+    EXPECT_EQ(h.completed.size(), 4u);
+}
+
+TEST(MemController, LastBankOfA64BankChannelIsServed)
+{
+    // 8 ranks x 8 banks: rank 7, bank 7 is bank index 63, the last slot
+    // of every per-bank array of the schedulers and page policies.
+    DramGeometry g = Harness::makeGeom();
+    g.ranksPerChannel = 8;
+    for (auto sched : {SchedulerKind::FcfsBanks, SchedulerKind::Fqm,
+                       SchedulerKind::ParBs}) {
+        for (auto policy : {PagePolicyKind::Rbpp, PagePolicyKind::Abpp,
+                            PagePolicyKind::History}) {
+            Channel ch(g, DramTimings::ddr3_1600(), false);
+            MemController mc(ch, makeScheduler(sched, 16),
+                             makePagePolicy(policy), 16);
+            std::uint32_t done = 0;
+            mc.setCompletionCallback([&done](Request *, Tick) { ++done; });
+            std::vector<Request> reqs(6);
+            Tick now{};
+            for (std::size_t i = 0; i < reqs.size(); ++i) {
+                Request &r = reqs[i];
+                r.id = i;
+                r.addr = 64 * (i + 1);
+                r.coord.rank = i % 2 ? 7 : 0;
+                r.coord.bank = i % 2 ? 7 : 0;
+                r.coord.row = 1 + i / 2; // Conflicts close rows.
+                mc.enqueue(&r, now);
+                EXPECT_EQ(r.bankIndex, i % 2 ? 63u : 0u);
+            }
+            for (int c = 0; c < 2000; ++c) {
+                mc.tick(now);
+                now += kBaselineClocks.ticksPerDram;
+            }
+            EXPECT_EQ(done, reqs.size())
+                << schedulerKindName(sched) << " x "
+                << pagePolicyKindName(policy);
+        }
+    }
+}
+
 /**
  * Conservation property across every scheduler x page-policy pair:
  * all requests injected eventually complete exactly once, with

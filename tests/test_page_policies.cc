@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+
 #include "mem/factory.hh"
 #include "mem/page_policies.hh"
 
@@ -19,7 +21,6 @@ query(std::uint32_t accesses, bool pendingHit, bool pendingConflict,
       Tick lastAccess = Tick{1000})
 {
     PageQuery q;
-    q.rank = 0;
     q.bank = 0;
     q.openRow = row;
     q.accessesThisActivation = accesses;
@@ -86,16 +87,16 @@ TEST(Rbpp, UntrackedRowBehavesOpenAdaptive)
 TEST(Rbpp, RecordsOnlyRowsWithHits)
 {
     RbppPolicy p;
-    p.onPrecharge(0, 0, 7, 1); // Single access: not recorded.
-    EXPECT_EQ(p.predictedHits(0, 0, 7), -1);
-    p.onPrecharge(0, 0, 9, 4); // 3 hits: recorded.
-    EXPECT_EQ(p.predictedHits(0, 0, 9), 3);
+    p.onPrecharge(0, 7, 1); // Single access: not recorded.
+    EXPECT_EQ(p.predictedHits(0, 7), -1);
+    p.onPrecharge(0, 9, 4); // 3 hits: recorded.
+    EXPECT_EQ(p.predictedHits(0, 9), 3);
 }
 
 TEST(Rbpp, PredictionDrivesClosure)
 {
     RbppPolicy p;
-    p.onPrecharge(0, 0, 7, 3); // Predict 2 hits next time.
+    p.onPrecharge(0, 7, 3); // Predict 2 hits next time.
     // With 2 accesses done (1 hit so far), stay open.
     EXPECT_FALSE(p.shouldClose(query(2, false, false)));
     // After 3 accesses (first + 2 hits), close even without conflict.
@@ -107,28 +108,28 @@ TEST(Rbpp, PredictionDrivesClosure)
 TEST(Rbpp, SingleAccessActivationRetiresStaleEntry)
 {
     RbppPolicy p;
-    p.onPrecharge(0, 0, 7, 4);
-    EXPECT_EQ(p.predictedHits(0, 0, 7), 3);
-    p.onPrecharge(0, 0, 7, 1); // This activation saw no hits.
-    EXPECT_EQ(p.predictedHits(0, 0, 7), -1);
+    p.onPrecharge(0, 7, 4);
+    EXPECT_EQ(p.predictedHits(0, 7), 3);
+    p.onPrecharge(0, 7, 1); // This activation saw no hits.
+    EXPECT_EQ(p.predictedHits(0, 7), -1);
 }
 
 TEST(Rbpp, MarrCapacityEvictsLru)
 {
     RbppPolicy p(2); // Two registers per bank.
-    p.onPrecharge(0, 0, 1, 2);
-    p.onPrecharge(0, 0, 2, 3);
-    p.onPrecharge(0, 0, 3, 4); // Evicts row 1.
-    EXPECT_EQ(p.predictedHits(0, 0, 1), -1);
-    EXPECT_EQ(p.predictedHits(0, 0, 2), 2);
-    EXPECT_EQ(p.predictedHits(0, 0, 3), 3);
+    p.onPrecharge(0, 1, 2);
+    p.onPrecharge(0, 2, 3);
+    p.onPrecharge(0, 3, 4); // Evicts row 1.
+    EXPECT_EQ(p.predictedHits(0, 1), -1);
+    EXPECT_EQ(p.predictedHits(0, 2), 2);
+    EXPECT_EQ(p.predictedHits(0, 3), 3);
 }
 
 TEST(Abpp, RecordsZeroHitRows)
 {
     AbppPolicy p;
-    p.onPrecharge(0, 0, 7, 1); // Zero hits: ABPP still records.
-    EXPECT_EQ(p.predictedHits(0, 0, 7), 0);
+    p.onPrecharge(0, 7, 1); // Zero hits: ABPP still records.
+    EXPECT_EQ(p.predictedHits(0, 7), 0);
     // Prediction of 0 hits means close right after the first access.
     EXPECT_TRUE(p.shouldClose(query(1, false, false)));
 }
@@ -136,25 +137,25 @@ TEST(Abpp, RecordsZeroHitRows)
 TEST(Abpp, PerBankTablesAreIndependent)
 {
     AbppPolicy p;
-    p.onPrecharge(0, 0, 7, 5);
-    EXPECT_EQ(p.predictedHits(0, 0, 7), 4);
-    EXPECT_EQ(p.predictedHits(0, 1, 7), -1);
-    EXPECT_EQ(p.predictedHits(1, 0, 7), -1);
+    p.onPrecharge(0, 7, 5);
+    EXPECT_EQ(p.predictedHits(0, 7), 4);
+    EXPECT_EQ(p.predictedHits(1, 7), -1);
+    EXPECT_EQ(p.predictedHits(8, 7), -1); // Rank 1, bank 0 (8-bank rank).
 }
 
 TEST(Abpp, UpdatesExistingEntry)
 {
     AbppPolicy p;
-    p.onPrecharge(0, 0, 7, 5);
-    p.onPrecharge(0, 0, 7, 2);
-    EXPECT_EQ(p.predictedHits(0, 0, 7), 1);
+    p.onPrecharge(0, 7, 5);
+    p.onPrecharge(0, 7, 2);
+    EXPECT_EQ(p.predictedHits(0, 7), 1);
 }
 
 TEST(History, PriorPredictsSingleAccess)
 {
     HistoryPolicy p;
     // Fresh predictor: weakly "single access", so close eagerly.
-    EXPECT_TRUE(p.predictsSingleAccess(0, 0));
+    EXPECT_TRUE(p.predictsSingleAccess(0));
     EXPECT_TRUE(p.shouldClose(query(1, false, false)));
     EXPECT_FALSE(p.shouldClose(query(0, false, false))); // Unaccessed.
     EXPECT_FALSE(p.shouldClose(query(1, true, false)));  // Hit waiting.
@@ -166,8 +167,8 @@ TEST(History, LearnsMultiAccessPattern)
     // A steady run of multi-access activations flips the counters for
     // the histories the run walks through.
     for (int i = 0; i < 16; ++i)
-        p.onPrecharge(0, 0, 7, 5);
-    EXPECT_FALSE(p.predictsSingleAccess(0, 0));
+        p.onPrecharge(0, 7, 5);
+    EXPECT_FALSE(p.predictsSingleAccess(0));
     // Predicted reuse: fall back to open-adaptive behavior.
     EXPECT_FALSE(p.shouldClose(query(1, false, false)));
     EXPECT_TRUE(p.shouldClose(query(1, false, true)));
@@ -177,11 +178,11 @@ TEST(History, RelearnsSingleAccessPattern)
 {
     HistoryPolicy p(2);
     for (int i = 0; i < 16; ++i)
-        p.onPrecharge(0, 0, 7, 4);
-    EXPECT_FALSE(p.predictsSingleAccess(0, 0));
+        p.onPrecharge(0, 7, 4);
+    EXPECT_FALSE(p.predictsSingleAccess(0));
     for (int i = 0; i < 16; ++i)
-        p.onPrecharge(0, 0, 7, 1);
-    EXPECT_TRUE(p.predictsSingleAccess(0, 0));
+        p.onPrecharge(0, 7, 1);
+    EXPECT_TRUE(p.predictsSingleAccess(0));
     EXPECT_TRUE(p.shouldClose(query(1, false, false)));
 }
 
@@ -189,10 +190,10 @@ TEST(History, BankPredictorsAreIndependent)
 {
     HistoryPolicy p(2);
     for (int i = 0; i < 16; ++i)
-        p.onPrecharge(0, 0, 7, 5); // Bank 0 learns multi-access.
-    EXPECT_FALSE(p.predictsSingleAccess(0, 0));
-    EXPECT_TRUE(p.predictsSingleAccess(0, 1)); // Bank 1 untouched.
-    EXPECT_TRUE(p.predictsSingleAccess(1, 0)); // Other rank untouched.
+        p.onPrecharge(0, 7, 5); // Bank 0 learns multi-access.
+    EXPECT_FALSE(p.predictsSingleAccess(0));
+    EXPECT_TRUE(p.predictsSingleAccess(1)); // Bank 1 untouched.
+    EXPECT_TRUE(p.predictsSingleAccess(8)); // Other rank (1, 0) untouched.
 }
 
 TEST(History, AlternatingPatternTracksPerHistoryCounters)
@@ -202,13 +203,41 @@ TEST(History, AlternatingPatternTracksPerHistoryCounters)
     // predicting the *next* outcome in the cycle.
     HistoryPolicy p(2);
     for (int i = 0; i < 64; ++i)
-        p.onPrecharge(0, 0, 7, (i % 2) ? 3 : 1);
+        p.onPrecharge(0, 7, (i % 2) ? 3 : 1);
     // The loop ends on a multi outcome: history 0b10, and the next
     // outcome in the cycle is single.
-    EXPECT_TRUE(p.predictsSingleAccess(0, 0));
-    p.onPrecharge(0, 0, 7, 1);
+    EXPECT_TRUE(p.predictsSingleAccess(0));
+    p.onPrecharge(0, 7, 1);
     // One more single: history 0b01, next in the cycle is multi.
-    EXPECT_FALSE(p.predictsSingleAccess(0, 0));
+    EXPECT_FALSE(p.predictsSingleAccess(0));
+}
+
+TEST(PagePolicyBanks, LastBankOfA64BankChannelIsIndependent)
+{
+    // Bank index 63 is rank 7, bank 7 of an 8-rank x 8-bank channel:
+    // the last slot of the fixed per-bank tables.
+    constexpr std::uint32_t kLast = kMaxBanksPerChannel - 1;
+    RbppPolicy rbpp;
+    AbppPolicy abpp;
+    for (PredictivePolicyBase *p :
+         std::initializer_list<PredictivePolicyBase *>{&rbpp, &abpp}) {
+        p->onPrecharge(kLast, 7, 5);
+        EXPECT_EQ(p->predictedHits(kLast, 7), 4);
+        EXPECT_EQ(p->predictedHits(0, 7), -1);
+        p->onPrecharge(0, 7, 3);
+        EXPECT_EQ(p->predictedHits(0, 7), 2);
+        EXPECT_EQ(p->predictedHits(kLast, 7), 4);
+    }
+
+    HistoryPolicy history(2);
+    for (int i = 0; i < 16; ++i)
+        history.onPrecharge(kLast, 7, 5); // Bank 63 learns multi-access.
+    EXPECT_FALSE(history.predictsSingleAccess(kLast));
+    EXPECT_TRUE(history.predictsSingleAccess(0));
+    for (int i = 0; i < 16; ++i)
+        history.onPrecharge(0, 7, 4); // Bank 0 learns it on its own.
+    EXPECT_FALSE(history.predictsSingleAccess(0));
+    EXPECT_TRUE(history.predictsSingleAccess(kLast - 1));
 }
 
 TEST(Factory, AllPoliciesConstructible)
@@ -220,7 +249,6 @@ TEST(Factory, AllPoliciesConstructible)
           PagePolicyKind::Timer, PagePolicyKind::History}) {
         auto p = makePagePolicy(kind);
         ASSERT_NE(p, nullptr);
-        EXPECT_STREQ(p->name(), pagePolicyKindName(kind));
-        EXPECT_EQ(pagePolicyKindFromName(p->name()), kind);
+        EXPECT_EQ(pagePolicyKindFromName(pagePolicyKindName(kind)), kind);
     }
 }

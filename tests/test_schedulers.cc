@@ -49,6 +49,7 @@ class Pool
         req->coord.rank = 0;
         req->coord.bank = bank;
         req->coord.row = 1;
+        req->bankIndex = bank; // As MemController::enqueue stamps it.
         Candidate c;
         c.req = req.get();
         c.cmd = cmd;
@@ -481,14 +482,14 @@ TEST(Fqm, EqualizesServiceAcrossCores)
     // Core 0 already got service at bank 0.
     Request served;
     served.core = 0;
-    served.coord.bank = 0;
+    served.bankIndex = 0;
     s.onRequestServiced(served);
     s.onRequestServiced(served);
     Pool p;
     p.add(tk(10), 0, 0, true, true);  // Core 0, much virtual time.
     p.add(tk(20), 1, 0, true, false); // Core 1, none: wins.
     EXPECT_EQ(s.choose(p.all(), tk(100), ctx16()), 1);
-    EXPECT_EQ(s.virtualTime(0, p.all()[0].req->coord.flatBankKey()), 2u);
+    EXPECT_EQ(s.virtualTime(0, p.all()[0].req->bankIndex), 2u);
 }
 
 TEST(Fqm, RowHitBreaksVirtualTimeTies)
@@ -724,6 +725,62 @@ TEST(Stfm, OnlyPicksIssuable)
     EXPECT_EQ(s.choose(p.all(), tk(100), ctx16()), -1);
 }
 
+// ------------------------------------------------------------ Tie rule
+
+TEST(PickBest, EqualCandidatesResolveToLowestIndex)
+{
+    // Two issuable candidates equal in every field but the request id
+    // (ascending): every deterministic scheduler issues index 0.
+    for (auto kind : {SchedulerKind::FrFcfs, SchedulerKind::FcfsBanks,
+                      SchedulerKind::ParBs, SchedulerKind::Atlas,
+                      SchedulerKind::Fcfs, SchedulerKind::Fqm,
+                      SchedulerKind::Tcm, SchedulerKind::Stfm}) {
+        for (const bool rowHit : {false, true}) {
+            auto s = makeScheduler(kind, 16);
+            Pool p;
+            p.add(tk(10), 3, 2, true, rowHit);
+            p.add(tk(10), 3, 2, true, rowHit);
+            EXPECT_EQ(s->choose(p.all(), tk(100), ctx16()), 0)
+                << schedulerKindName(kind) << " rowHit=" << rowHit;
+        }
+    }
+}
+
+// ----------------------------------------------------------- Last bank
+
+TEST(SchedulerBanks, LastBankOfA64BankChannelIsIndependent)
+{
+    // Bank index 63 is rank 7, bank 7 of an 8-rank x 8-bank channel:
+    // the last slot of the fixed per-bank arrays.
+    constexpr std::uint32_t kLast = kMaxBanksPerChannel - 1;
+    {
+        FcfsBanksScheduler s;
+        Pool p;
+        p.add(tk(10), 0, 0, false, false);    // Bank 0 head, blocked.
+        p.add(tk(20), 1, kLast, true, false); // Bank 63 head: eligible.
+        p.add(tk(30), 2, kLast, true, true);  // Behind it: not eligible.
+        EXPECT_EQ(s.choose(p.all(), tk(100), ctx16()), 1);
+    }
+    {
+        FqmScheduler s(4);
+        Request served;
+        served.core = 0;
+        served.bankIndex = kLast;
+        s.onRequestServiced(served);
+        s.onRequestServiced(served);
+        EXPECT_EQ(s.virtualTime(0, kLast), 2u);
+        EXPECT_EQ(s.virtualTime(0, 0), 0u);
+        Pool p;
+        p.add(tk(10), 0, kLast, true, false); // Core 0 served at bank 63.
+        p.add(tk(20), 1, kLast, true, false);
+        EXPECT_EQ(s.choose(p.all(), tk(100), ctx16()), 1);
+        Pool p0;
+        p0.add(tk(10), 0, 0, true, false); // Bank 0: no service yet.
+        p0.add(tk(20), 1, 0, true, false);
+        EXPECT_EQ(s.choose(p0.all(), tk(100), ctx16()), 0);
+    }
+}
+
 // -------------------------------------------------------------- Factory
 
 TEST(Factory, AllSchedulersConstructible)
@@ -735,7 +792,6 @@ TEST(Factory, AllSchedulersConstructible)
                       SchedulerKind::Stfm}) {
         auto s = makeScheduler(kind, 16);
         ASSERT_NE(s, nullptr);
-        EXPECT_STREQ(s->name(), schedulerKindName(kind));
-        EXPECT_EQ(schedulerKindFromName(s->name()), kind);
+        EXPECT_EQ(schedulerKindFromName(schedulerKindName(kind)), kind);
     }
 }
