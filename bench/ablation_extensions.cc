@@ -28,28 +28,23 @@ constexpr std::array<WorkloadId, 6> kRepWorkloads = {
 
 void
 printStudy(const char *title,
-           const std::vector<std::pair<std::string, SimConfig>> &configs,
+           const std::vector<bench::LabeledConfig> &configs,
            ExperimentRunner &runner)
 {
-    // Simulate the whole study in one parallel batch; the reporting
-    // loop below then resolves every point from the memo cache.
-    std::vector<SimConfig> sweep;
-    for (const auto &[label, cfg] : configs)
-        sweep.push_back(cfg);
-    bench::prefetchSweep(runner, sweep,
-                         {kRepWorkloads.begin(), kRepWorkloads.end()});
+    const auto series = bench::runConfigStudy(
+        runner, configs, {kRepWorkloads.begin(), kRepWorkloads.end()});
 
     TextTable table;
     std::vector<std::string> header{"workload"};
-    for (const auto &[label, cfg] : configs)
-        header.push_back(label);
+    for (const auto &lc : configs)
+        header.push_back(lc.label);
     table.setHeader(header);
     for (auto wl : kRepWorkloads) {
         std::vector<std::string> row{workloadAcronym(wl)};
-        const double base = runner.run(wl, configs.front().second).userIpc;
-        for (const auto &[label, cfg] : configs) {
+        const double base = series.front().results.at(wl).userIpc;
+        for (const auto &s : series) {
             row.push_back(
-                TextTable::num(runner.run(wl, cfg).userIpc / base, 3));
+                TextTable::num(s.results.at(wl).userIpc / base, 3));
         }
         table.addRow(std::move(row));
     }
@@ -67,42 +62,41 @@ main(int argc, char **argv)
 
     // 1. Extension schedulers.
     {
-        std::vector<std::pair<std::string, SimConfig>> configs;
+        std::vector<bench::LabeledConfig> configs;
         for (auto kind : {SchedulerKind::FrFcfs, SchedulerKind::Fcfs,
                           SchedulerKind::FcfsBanks, SchedulerKind::Fqm}) {
             SimConfig cfg = SimConfig::baseline();
             cfg.scheduler = kind;
-            configs.emplace_back(schedulerKindName(kind), cfg);
+            configs.push_back({schedulerKindName(kind), cfg});
         }
         printStudy("Ablation 1: excluded schedulers", configs, runner);
     }
 
     // 2. Extension page policies.
     {
-        std::vector<std::pair<std::string, SimConfig>> configs;
+        std::vector<bench::LabeledConfig> configs;
         for (auto kind :
              {PagePolicyKind::OpenAdaptive, PagePolicyKind::Open,
               PagePolicyKind::Close, PagePolicyKind::Timer}) {
             SimConfig cfg = SimConfig::baseline();
             cfg.pagePolicy = kind;
-            configs.emplace_back(pagePolicyKindName(kind), cfg);
+            configs.push_back({pagePolicyKindName(kind), cfg});
         }
         printStudy("Ablation 2: excluded page policies", configs, runner);
     }
 
     // 3. Write-drain watermark sensitivity.
     {
-        std::vector<std::pair<std::string, SimConfig>> configs;
+        std::vector<bench::LabeledConfig> configs;
         const std::array<std::pair<std::size_t, std::size_t>, 3> marks = {
             {{32, 8}, {16, 4}, {48, 16}}};
         for (const auto &[high, low] : marks) {
             SimConfig cfg = SimConfig::baseline();
             cfg.controller.writeDrainHigh = high;
             cfg.controller.writeDrainLow = low;
-            configs.emplace_back(
-                "drain" + std::to_string(high) + "/" +
-                    std::to_string(low),
-                cfg);
+            configs.push_back({"drain" + std::to_string(high) + "/" +
+                                   std::to_string(low),
+                               cfg});
         }
         printStudy("Ablation 3: write-drain watermarks", configs, runner);
     }

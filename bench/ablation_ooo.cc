@@ -35,30 +35,33 @@ int
 main(int argc, char **argv)
 {
     bench::sweepFlags(argc, argv);
-    ExperimentRunner runner;
 
-    // Simulate every point of both parts in one parallel batch; the
-    // reporting loops below then resolve from the memo cache.
-    {
-        std::vector<SimConfig> sweep;
-        for (auto mlp : kMlpWindows) {
-            SimConfig one = SimConfig::baseline();
-            one.coreMlpOverride = mlp;
-            sweep.push_back(one);
-            SimConfig four = one;
-            four.dram.channels = 4;
-            four.mapping = MappingScheme::RoChRaBaCo;
-            sweep.push_back(four);
-            SimConfig fb = one;
-            fb.scheduler = SchedulerKind::FcfsBanks;
-            sweep.push_back(fb);
-            SimConfig pb = one;
-            pb.scheduler = SchedulerKind::ParBs;
-            sweep.push_back(pb);
-        }
-        bench::prefetchSweep(runner, sweep,
-                             {kScaleOut.begin(), kScaleOut.end()});
+    // Four configurations per MLP window, simulated as one parallel
+    // batch: the 1-channel FR-FCFS baseline, 4 channels, FCFS_banks
+    // and PAR-BS.
+    enum Variant { kOneCh, kFourCh, kFcfsBanks, kParBs, kVariants };
+    std::vector<bench::LabeledConfig> configs;
+    for (auto mlp : kMlpWindows) {
+        SimConfig one = SimConfig::baseline();
+        one.coreMlpOverride = mlp;
+        SimConfig four = one;
+        four.dram.channels = 4;
+        four.mapping = MappingScheme::RoChRaBaCo;
+        SimConfig fb = one;
+        fb.scheduler = SchedulerKind::FcfsBanks;
+        SimConfig pb = one;
+        pb.scheduler = SchedulerKind::ParBs;
+        configs.insert(configs.end(),
+                       {{"1ch", one}, {"4ch", four}, {"FCFS_banks", fb},
+                        {"PAR-BS", pb}});
     }
+    ExperimentRunner runner;
+    const auto series = bench::runConfigStudy(
+        runner, configs, {kScaleOut.begin(), kScaleOut.end()});
+    const auto at = [&series](std::size_t mlpIdx, Variant v,
+                              WorkloadId wl) -> const MetricSet & {
+        return series[mlpIdx * kVariants + v].results.at(wl);
+    };
 
     // (a) Channel-count benefit as MLP grows.
     {
@@ -66,15 +69,11 @@ main(int argc, char **argv)
         table.setHeader({"workload", "MLP", "1ch IPC", "4ch IPC",
                          "4ch/1ch", "1ch BW%"});
         for (auto wl : kScaleOut) {
-            for (auto mlp : kMlpWindows) {
-                SimConfig one = SimConfig::baseline();
-                one.coreMlpOverride = mlp;
-                SimConfig four = one;
-                four.dram.channels = 4;
-                four.mapping = MappingScheme::RoChRaBaCo;
-                const MetricSet m1 = runner.run(wl, one);
-                const MetricSet m4 = runner.run(wl, four);
-                table.addRow({workloadAcronym(wl), std::to_string(mlp),
+            for (std::size_t i = 0; i < kMlpWindows.size(); ++i) {
+                const MetricSet &m1 = at(i, kOneCh, wl);
+                const MetricSet &m4 = at(i, kFourCh, wl);
+                table.addRow({workloadAcronym(wl),
+                              std::to_string(kMlpWindows[i]),
                               TextTable::num(m1.userIpc, 3),
                               TextTable::num(m4.userIpc, 3),
                               TextTable::num(m4.userIpc / m1.userIpc, 3),
@@ -92,19 +91,13 @@ main(int argc, char **argv)
         table.setHeader(
             {"workload", "MLP", "FCFS_banks/FR-FCFS", "PAR-BS/FR-FCFS"});
         for (auto wl : kScaleOut) {
-            for (auto mlp : kMlpWindows) {
-                SimConfig fr = SimConfig::baseline();
-                fr.coreMlpOverride = mlp;
-                SimConfig fb = fr;
-                fb.scheduler = SchedulerKind::FcfsBanks;
-                SimConfig pb = fr;
-                pb.scheduler = SchedulerKind::ParBs;
-                const double ipcFr = runner.run(wl, fr).userIpc;
+            for (std::size_t i = 0; i < kMlpWindows.size(); ++i) {
+                const double ipcFr = at(i, kOneCh, wl).userIpc;
                 table.addRow(
-                    {workloadAcronym(wl), std::to_string(mlp),
-                     TextTable::num(runner.run(wl, fb).userIpc / ipcFr,
+                    {workloadAcronym(wl), std::to_string(kMlpWindows[i]),
+                     TextTable::num(at(i, kFcfsBanks, wl).userIpc / ipcFr,
                                     3),
-                     TextTable::num(runner.run(wl, pb).userIpc / ipcFr,
+                     TextTable::num(at(i, kParBs, wl).userIpc / ipcFr,
                                     3)});
             }
         }

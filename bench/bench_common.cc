@@ -36,25 +36,6 @@ runConfigStudy(ExperimentRunner &runner,
     return out;
 }
 
-void
-prefetchSweep(ExperimentRunner &runner,
-              const std::vector<SimConfig> &configs,
-              const std::vector<WorkloadId> &workloads)
-{
-    // With caching disabled there is no memo cache to warm: the
-    // batch's work would be thrown away and re-simulated by the
-    // caller's run() loop.
-    if (!runner.cachingEnabled())
-        return;
-    std::vector<Point> points;
-    points.reserve(configs.size() * workloads.size());
-    for (const auto &cfg : configs) {
-        for (auto wl : workloads)
-            points.push_back({wl, cfg});
-    }
-    (void)runner.runAll(points);
-}
-
 std::vector<Series>
 runSchedulerStudy(ExperimentRunner &runner)
 {

@@ -54,16 +54,6 @@ runConfigStudy(ExperimentRunner &runner,
                const std::vector<WorkloadId> &workloads = {
                    kAllWorkloads.begin(), kAllWorkloads.end()});
 
-/**
- * Warm the runner's memo cache with every (workload, config) point of
- * a sweep in one parallel batch, so subsequent serial run() calls all
- * hit the cache. For benches whose reporting loops are clearer serial.
- */
-void prefetchSweep(ExperimentRunner &runner,
-                   const std::vector<SimConfig> &configs,
-                   const std::vector<WorkloadId> &workloads = {
-                       kAllWorkloads.begin(), kAllWorkloads.end()});
-
 /** Run the paper's scheduler sweep (Figures 1-7): 5 schedulers x 12
  *  workloads on the Table 2 baseline. First series is FR-FCFS. */
 std::vector<Series> runSchedulerStudy(ExperimentRunner &runner);

@@ -15,25 +15,27 @@ main(int argc, char **argv)
     using namespace mcsim;
     const bool csv = bench::sweepFlags(argc, argv);
 
-    ExperimentRunner runner;
+    constexpr std::array<std::uint32_t, 2> kChannelCounts = {2, 4};
 
     // Simulate the full (channels, scheme, workload) matrix in one
-    // parallel batch; the table loops below hit the memo cache.
-    {
-        std::vector<SimConfig> sweep;
-        for (std::uint32_t channels : {2u, 4u}) {
-            for (auto scheme : kAllMappingSchemes) {
-                SimConfig cfg = SimConfig::baseline();
-                cfg.dram.channels = channels;
-                cfg.mapping = scheme;
-                sweep.push_back(cfg);
-            }
+    // parallel batch: one series per (channels, scheme), channel-major.
+    std::vector<bench::LabeledConfig> configs;
+    for (std::uint32_t channels : kChannelCounts) {
+        for (auto scheme : kAllMappingSchemes) {
+            SimConfig cfg = SimConfig::baseline();
+            cfg.dram.channels = channels;
+            cfg.mapping = scheme;
+            configs.push_back({mappingSchemeName(scheme), cfg});
         }
-        bench::prefetchSweep(runner, sweep);
     }
+    ExperimentRunner runner;
+    const auto series = bench::runConfigStudy(runner, configs);
 
     // Full IPC matrix per channel count.
-    for (std::uint32_t channels : {2u, 4u}) {
+    for (std::size_t c = 0; c < kChannelCounts.size(); ++c) {
+        const std::uint32_t channels = kChannelCounts[c];
+        const bench::Series *schemes =
+            &series[c * kAllMappingSchemes.size()];
         TextTable table;
         std::vector<std::string> header{"workload"};
         for (auto scheme : kAllMappingSchemes)
@@ -44,15 +46,12 @@ main(int argc, char **argv)
             std::vector<std::string> row{workloadAcronym(wl)};
             double bestIpc = -1.0;
             MappingScheme best = MappingScheme::RoRaBaCoCh;
-            for (auto scheme : kAllMappingSchemes) {
-                SimConfig cfg = SimConfig::baseline();
-                cfg.dram.channels = channels;
-                cfg.mapping = scheme;
-                const MetricSet m = runner.run(wl, cfg);
+            for (std::size_t k = 0; k < kAllMappingSchemes.size(); ++k) {
+                const MetricSet &m = schemes[k].results.at(wl);
                 row.push_back(TextTable::num(m.userIpc, 3));
                 if (m.userIpc > bestIpc) {
                     bestIpc = m.userIpc;
-                    best = scheme;
+                    best = kAllMappingSchemes[k];
                 }
             }
             row.emplace_back(mappingSchemeName(best));

@@ -65,24 +65,21 @@ main(int argc, char **argv)
         return 1;
     }
 
-    ExperimentRunner runner;
-    SimConfig base = SimConfig::baseline();
-    const double baseIpc = runner.run(id, base).userIpc;
-
-    // Simulate the whole scheduler x policy grid as one parallel
-    // batch; the table loop below resolves from the memo cache.
-    if (runner.cachingEnabled()) {
-        std::vector<ExperimentRunner::Point> points;
-        for (auto sched : kSchedulers) {
-            for (auto pp : kPolicies) {
-                SimConfig cfg = base;
-                cfg.scheduler = sched;
-                cfg.pagePolicy = pp;
-                points.push_back({id, cfg});
-            }
+    // The whole scheduler x policy grid as one parallel batch,
+    // scheduler-major; its first point is the FR-FCFS + OpenAdaptive
+    // baseline.
+    std::vector<ExperimentRunner::Point> points;
+    for (auto sched : kSchedulers) {
+        for (auto pp : kPolicies) {
+            SimConfig cfg = SimConfig::baseline();
+            cfg.scheduler = sched;
+            cfg.pagePolicy = pp;
+            points.push_back({id, cfg});
         }
-        (void)runner.runAll(points);
     }
+    ExperimentRunner runner;
+    const auto results = runner.runAll(points);
+    const double baseIpc = results.front().userIpc;
 
     TextTable table;
     std::vector<std::string> header{"scheduler \\ policy"};
@@ -92,13 +89,11 @@ main(int argc, char **argv)
 
     double bestIpc = 0.0;
     std::string bestLabel;
+    std::size_t i = 0;
     for (auto sched : kSchedulers) {
         std::vector<std::string> row{schedulerKindName(sched)};
         for (auto pp : kPolicies) {
-            SimConfig cfg = base;
-            cfg.scheduler = sched;
-            cfg.pagePolicy = pp;
-            const double ipc = runner.run(id, cfg).userIpc;
+            const double ipc = results[i++].userIpc;
             if (ipc > bestIpc) {
                 bestIpc = ipc;
                 bestLabel = std::string(schedulerKindName(sched)) + " + " +

@@ -17,16 +17,17 @@
  * channels x workloads) runs as one parallel batch through
  * ExperimentRunner::runAll and prints one row per point: a summary
  * table, or with --csv the six point columns and then one column per
- * MetricSet field. Values print through formatMetric(), so CSV output
- * reads back bit-exactly. Run with
- * --help for the full flag list and --list for every legal name.
+ * MetricSet field. A single point runs through runAll too, as a
+ * one-point batch, and prints one `name value` row per MetricSet
+ * field. Values print through formatMetric(), so CSV output reads back
+ * bit-exactly. Run with --help for the full flag list and --list for
+ * every legal name.
  */
 
 #include <cstdio>
 
 #include "sim/options.hh"
 #include "sim/spec.hh"
-#include "sim/system.hh"
 
 using namespace mcsim;
 
@@ -120,34 +121,21 @@ main(int argc, char **argv)
         std::fputs(ExperimentOptions::listText().c_str(), stdout);
         return 0;
     }
-    // A single point runs its own windows (--fast D), yet a malformed
-    // CLOUDMC_FAST or CLOUDMC_THREADS is a named error on every path.
-    (void)ExperimentRunner::fastDivisor();
-    (void)ExperimentRunner::defaultThreads();
     if (opts.hasSpec || opts.spec.pointCount() > 1)
         return runSweep(opts);
 
-    const WorkloadParams workload = workloadPreset(opts.workload);
-    const SimConfig &cfg = opts.config;
+    const ExperimentRunner::Point point = opts.spec.points().front();
+    const SimConfig &cfg = point.cfg;
     std::printf("run_experiment: %s | %s | %s | %s | %s | %u channel(s)\n",
-                workload.acronym.c_str(), cfg.deviceName.c_str(),
+                workloadAcronym(point.workload), cfg.deviceName.c_str(),
                 schedulerKindName(cfg.scheduler),
                 pagePolicyKindName(cfg.pagePolicy),
                 mappingLabel(cfg).c_str(), cfg.dram.channels);
 
-    System sys(cfg, workload);
-    MetricSet m = sys.run();
-    if (opts.fairness) {
-        // Derive the slowdown/fairness block against the single-core
-        // alone run directly, so --fairness changes nothing about the
-        // base run's semantics (same windows, no CLOUDMC_FAST
-        // division, no results-cache traffic).
-        WorkloadParams alone = workload;
-        alone.cores = 1;
-        System aloneSys(cfg, alone);
-        const MetricSet aloneM = aloneSys.run();
-        deriveFairnessMetrics(m, {{0, workload.cores, &aloneM}});
-    }
+    // A one-point batch (with its alone-run baseline under
+    // --fairness), recalled from or stored in the results cache.
+    ExperimentRunner runner;
+    const MetricSet m = runner.runAll({point}).front();
 
     // Every MetricSet field, in table order, as `name,value` rows
     // (--csv) or aligned `name  value` rows; lists are ';'-joined.

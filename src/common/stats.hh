@@ -1,8 +1,8 @@
 /**
  * @file
- * Lightweight statistics primitives: scalar counters, streaming
- * averages, time-weighted averages, and small histograms. These are
- * deliberately simple — hot-path updates are a handful of adds.
+ * Lightweight statistics primitives: time-weighted averages and small
+ * histograms. These are deliberately simple — hot-path updates are a
+ * handful of adds.
  */
 
 #ifndef CLOUDMC_COMMON_STATS_HH
@@ -15,33 +15,6 @@
 #include "types.hh"
 
 namespace mcsim {
-
-/** Streaming mean over sample values. */
-class AverageStat
-{
-  public:
-    void
-    sample(double v)
-    {
-        sum_ += v;
-        ++count_;
-    }
-
-    void
-    reset()
-    {
-        sum_ = 0.0;
-        count_ = 0;
-    }
-
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-
-  private:
-    double sum_ = 0.0;
-    std::uint64_t count_ = 0;
-};
 
 /**
  * Time-weighted average of a piecewise-constant quantity, e.g. queue

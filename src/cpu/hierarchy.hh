@@ -113,19 +113,11 @@ class CacheHierarchy
     }
 
     /**
-     * Pure L1D probe: would a load/store from @p core hit its L1?
+     * Pure L1I probe: would a fetch from @p core hit its L1?
      * No LRU, stats, or L2 side effects — the batched core loop uses
      * this to decide whether the next access is core-private before
      * executing it ahead of the global cycle order.
      */
-    bool
-    l1dProbe(CoreId core, Addr addr) const
-    {
-        const Cache &l1 = *l1d_[core];
-        return l1.contains(l1.blockAlign(addr));
-    }
-
-    /** Pure L1I probe (see l1dProbe). */
     bool
     l1iProbe(CoreId core, Addr addr) const
     {
@@ -136,7 +128,7 @@ class CacheHierarchy
     /**
      * Run-length L1D probe: how many consecutive blocks starting at
      * the one containing @p addr are present, up to @p maxBlocks.
-     * Pure, like l1dProbe.
+     * Pure, like l1iProbe.
      */
     std::uint32_t
     l1dProbeRun(CoreId core, Addr addr, std::uint32_t maxBlocks) const

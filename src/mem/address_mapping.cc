@@ -31,15 +31,6 @@ tryMappingSchemeFromName(const std::string &name, MappingScheme &out)
     return false;
 }
 
-MappingScheme
-mappingSchemeFromName(const std::string &name)
-{
-    MappingScheme s{};
-    if (!tryMappingSchemeFromName(name, s))
-        mc_fatal("unknown mapping scheme '", name, "'");
-    return s;
-}
-
 const char *
 bankGroupMappingName(BankGroupMapping m)
 {
@@ -68,15 +59,6 @@ tryBankGroupMappingFromName(const std::string &name, BankGroupMapping &out)
         return true;
     }
     return false;
-}
-
-BankGroupMapping
-bankGroupMappingFromName(const std::string &name)
-{
-    BankGroupMapping m;
-    if (!tryBankGroupMappingFromName(name, m))
-        mc_fatal("unknown bank-group mapping '", name, "'");
-    return m;
 }
 
 AddressMapper::AddressMapper(const DramGeometry &geom, MappingScheme scheme,

@@ -55,9 +55,6 @@ const char *mappingSchemeName(MappingScheme s);
  *  unknown names. */
 bool tryMappingSchemeFromName(const std::string &name, MappingScheme &out);
 
-/** As above, but fatal (user error) on unknown names. */
-MappingScheme mappingSchemeFromName(const std::string &name);
-
 /**
  * How the bank-group bits of a grouped device (DDR4/DDR5) are placed
  * in the address. GroupInterleaved pulls the group-select bits down to
@@ -83,9 +80,6 @@ const char *bankGroupMappingName(BankGroupMapping m);
  *  the short forms "interleaved"/"packed"); false on unknown names. */
 bool tryBankGroupMappingFromName(const std::string &name,
                                  BankGroupMapping &out);
-
-/** As above, but fatal (user error) on unknown names. */
-BankGroupMapping bankGroupMappingFromName(const std::string &name);
 
 /**
  * Bidirectional mapper between physical block addresses and DRAM

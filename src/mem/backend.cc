@@ -211,13 +211,6 @@ class DramBackend final : public MemBackend
         }
     }
 
-    MemBackendKind
-    kind() const override
-    {
-        return vaults_ ? MemBackendKind::StackedDram
-                       : MemBackendKind::FlatDram;
-    }
-
     std::uint32_t
     numQueues() const override
     {
@@ -458,8 +451,6 @@ class TieredMemBackend final : public MemBackend
                 clk_.dramToTicks(tier_.migrationCyclesPerRow);
         }
     }
-
-    MemBackendKind kind() const override { return MemBackendKind::Tiered; }
 
     std::uint32_t
     numQueues() const override
@@ -749,10 +740,6 @@ class TieredMemBackend final : public MemBackend
 std::unique_ptr<MemBackend>
 makeMemBackend(const SimConfig &cfg, std::uint32_t numCores)
 {
-    mc_assert((cfg.backend == MemBackendKind::StackedDram) ==
-                  (cfg.dram.vaultsPerStack > 0),
-              "the stacked backend needs geometry.vaultsPerStack > 0, "
-              "the flat backend 0");
     if (cfg.tier.enabled)
         return std::make_unique<TieredMemBackend>(cfg, numCores);
     return std::make_unique<DramBackend>(cfg, cfg.dram, cfg.timings,

@@ -47,17 +47,6 @@ namespace mcsim {
 struct SimConfig;
 struct MetricSet;
 
-/** Which memory-backend implementation a SimConfig selects. */
-enum class MemBackendKind : std::uint8_t {
-    FlatDram,    ///< JEDEC channels behind one controller each.
-    StackedDram, ///< HMC-style stacks of vaults, one controller per vault.
-    /** Two-tier composition: a fast tier (flat or stacked, per the
-     *  config's base backend kind) in front of a slow CXL/NVM-like
-     *  tier. Never stored in SimConfig::backend (that names the fast
-     *  tier); selected by SimConfig::tier.enabled. */
-    Tiered,
-};
-
 /** Placement/migration policy of the tiered backend. */
 enum class TierPolicy : std::uint8_t {
     /** Fixed placement: a tier_capacity_pct share of tiles is fast,
@@ -138,8 +127,6 @@ class MemBackend
   public:
     virtual ~MemBackend() = default;
 
-    virtual MemBackendKind kind() const = 0;
-
     /** Independent controller queues (indexed by coord.channel). */
     virtual std::uint32_t numQueues() const = 0;
     virtual MemController &queue(std::uint32_t i) = 0;
@@ -170,7 +157,9 @@ class MemBackend
     virtual void collect(MetricSet &m, Tick now) const = 0;
 };
 
-/** Build the backend a SimConfig selects (cfg.backend). */
+/** Build the backend a SimConfig selects: flat, or stacked when
+ *  cfg.dram.vaultsPerStack > 0, wrapped as the fast tier of a
+ *  TieredMemBackend when cfg.tier.enabled. */
 std::unique_ptr<MemBackend> makeMemBackend(const SimConfig &cfg,
                                            std::uint32_t numCores);
 

@@ -36,15 +36,6 @@ trySchedulerKindFromName(const std::string &name, SchedulerKind &out)
     return false;
 }
 
-SchedulerKind
-schedulerKindFromName(const std::string &name)
-{
-    SchedulerKind k{};
-    if (!trySchedulerKindFromName(name, k))
-        mc_fatal("unknown scheduler '", name, "'");
-    return k;
-}
-
 const char *
 pagePolicyKindName(PagePolicyKind k)
 {
@@ -71,15 +62,6 @@ tryPagePolicyKindFromName(const std::string &name, PagePolicyKind &out)
         }
     }
     return false;
-}
-
-PagePolicyKind
-pagePolicyKindFromName(const std::string &name)
-{
-    PagePolicyKind k{};
-    if (!tryPagePolicyKindFromName(name, k))
-        mc_fatal("unknown page policy '", name, "'");
-    return k;
 }
 
 std::unique_ptr<Scheduler>

@@ -79,16 +79,13 @@ struct SchedulerParams
     StfmConfig stfm;
 };
 
-/** Name lookups: the try* forms return false on unknown names, the
- *  others are fatal (user error). */
+/** Name lookups: the try* forms return false on unknown names. */
 const char *schedulerKindName(SchedulerKind k);
 bool trySchedulerKindFromName(const std::string &name, SchedulerKind &out);
-SchedulerKind schedulerKindFromName(const std::string &name);
 
 const char *pagePolicyKindName(PagePolicyKind k);
 bool tryPagePolicyKindFromName(const std::string &name,
                                PagePolicyKind &out);
-PagePolicyKind pagePolicyKindFromName(const std::string &name);
 
 /**
  * Construct a scheduler instance.

@@ -71,34 +71,6 @@ struct MemControllerStats
 
     std::vector<std::uint64_t> perCoreReads;
     std::vector<TickSpan> perCoreLatencyTicks;
-
-    /** Row-buffer hit rate in [0,1] over all serviced CAS requests. */
-    double
-    rowHitRate() const
-    {
-        const auto total = rowHits + rowMisses + rowConflicts;
-        return total ? static_cast<double>(rowHits) /
-                           static_cast<double>(total)
-                     : 0.0;
-    }
-
-    /** Mean read latency in core cycles of the given clock grid. */
-    double
-    avgReadLatencyCycles(const ClockDomains &clk = kBaselineClocks) const
-    {
-        return readLatencySamples
-                   ? static_cast<double>(readLatencyTicks.count()) /
-                         static_cast<double>(readLatencySamples) /
-                         static_cast<double>(clk.ticksPerCore.count())
-                   : 0.0;
-    }
-
-    /** Fraction of activations receiving exactly one access. */
-    double
-    singleAccessFraction() const
-    {
-        return activationAccesses.fractionAt(1);
-    }
 };
 
 /** Memory controller for one channel. */
@@ -144,7 +116,6 @@ class MemController
     bool drainingWrites() const { return drainingWrites_; }
 
     Scheduler &scheduler() { return *scheduler_; }
-    PagePolicy &pagePolicy() { return *pagePolicy_; }
     Channel &channel() { return channel_; }
 
     MemControllerStats &stats() { return stats_; }

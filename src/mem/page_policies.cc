@@ -74,8 +74,9 @@ PredictivePolicyBase::shouldClose(const PageQuery &q)
 }
 
 HistoryPolicy::HistoryPolicy(std::uint32_t historyBits)
-    : historyMask_((1u << historyBits) - 1)
 {
+    mc_assert(historyBits <= 16, "History keeps a 2^bits counter table");
+    historyMask_ = (1u << historyBits) - 1;
     // Weakly predict "single access": Figure 8 shows 77%-90% of
     // activations get one access, so that is the better prior.
     for (auto &p : banks_)

@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/log.hh"
 #include "dram/dram_params.hh"
 #include "page_policy.hh"
 
@@ -118,6 +119,7 @@ class RbppPolicy : public PredictivePolicyBase
     explicit RbppPolicy(std::uint32_t marrsPerBank = 4)
         : PredictivePolicyBase(marrsPerBank, false)
     {
+        mc_assert(marrsPerBank >= 1, "RBPP needs a MARR per bank");
     }
 };
 
@@ -128,6 +130,7 @@ class AbppPolicy : public PredictivePolicyBase
     explicit AbppPolicy(std::uint32_t entriesPerBank = 16)
         : PredictivePolicyBase(entriesPerBank, true)
     {
+        mc_assert(entriesPerBank >= 1, "ABPP needs a table entry per bank");
     }
 };
 
@@ -171,6 +174,7 @@ class TimerPolicy : public PagePolicy
 class HistoryPolicy : public PagePolicy
 {
   public:
+    /** @param historyBits History register width, at most 16. */
     explicit HistoryPolicy(std::uint32_t historyBits = 4);
 
     bool shouldClose(const PageQuery &q) override;

@@ -175,7 +175,7 @@ paramsHash(const SimConfig &cfg)
     // The stacked and tier knobs are folded in only when they are in
     // play, so a sweep that leaves them dormant (e.g. a flat device
     // with a tuned remap struct) recalls one shared row.
-    if (cfg.backend == MemBackendKind::StackedDram) {
+    if (cfg.dram.vaultsPerStack > 0) {
         h.u64(cfg.dram.vaultsPerStack);
         h.u64(cfg.remap.enabled ? 1 : 0)
             .u64(cfg.remap.windowAccesses)
@@ -234,7 +234,7 @@ std::string
 backendSegment(const SimConfig &cfg)
 {
     std::string seg = "|be=";
-    if (cfg.backend == MemBackendKind::StackedDram) {
+    if (cfg.dram.vaultsPerStack > 0) {
         seg += "st";
         seg += std::to_string(cfg.dram.vaultsPerStack);
         seg += 'v';
@@ -411,38 +411,21 @@ ExperimentRunner::appendToCache(const std::string &key, const MetricSet &m)
 }
 
 MetricSet
-ExperimentRunner::simulate(WorkloadId workload, const SimConfig &cfg,
-                           std::uint32_t presetCores)
-{
-    SimConfig effective = cfg;
-    const std::uint64_t divisor = fastDivisor();
-    effective.warmupCoreCycles = cfg.warmupCoreCycles / divisor;
-    effective.measureCoreCycles =
-        std::max<std::uint64_t>(cfg.measureCoreCycles / divisor, 100'000);
-
-    WorkloadParams params = workloadPreset(workload);
-    if (presetCores)
-        params.cores = presetCores;
-    System system(effective, params);
-    return system.run();
-}
-
-MetricSet
 ExperimentRunner::simulatePoint(const Point &p)
 {
-    if (!p.makeGenerator)
-        return simulate(p.workload, p.cfg, p.presetCores);
-
     SimConfig effective = p.cfg;
-    const std::uint64_t divisor = fastDivisor();
-    effective.warmupCoreCycles = p.cfg.warmupCoreCycles / divisor;
-    effective.measureCoreCycles = std::max<std::uint64_t>(
-        p.cfg.measureCoreCycles / divisor, 100'000);
-
-    const auto generator = p.makeGenerator();
-    mc_assert(generator && p.customCores >= 1,
-              "custom experiment point needs a generator and cores");
-    System system(effective, *generator, p.customCores);
+    effective.shortenWindows(fastDivisor());
+    if (p.makeGenerator) {
+        const auto generator = p.makeGenerator();
+        mc_assert(generator && p.customCores >= 1,
+                  "custom experiment point needs a generator and cores");
+        System system(effective, *generator, p.customCores);
+        return system.run();
+    }
+    WorkloadParams params = workloadPreset(p.workload);
+    if (p.presetCores)
+        params.cores = p.presetCores;
+    System system(effective, params);
     return system.run();
 }
 
@@ -504,30 +487,6 @@ ExperimentRunner::mixedFairnessPoint(const std::vector<MixPart> &parts,
     return p;
 }
 
-MetricSet
-ExperimentRunner::run(WorkloadId workload, const SimConfig &cfg)
-{
-    const std::string key = configKey(workload, cfg);
-    if (cachingEnabled_) {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = cache_.find(key);
-        if (it != cache_.end()) {
-            ++cacheHits_;
-            return it->second;
-        }
-    }
-
-    const MetricSet m = simulate(workload, cfg);
-
-    std::lock_guard<std::mutex> lock(mu_);
-    ++simulationsRun_;
-    if (cachingEnabled_) {
-        cache_[key] = m;
-        appendToCache(key, m);
-    }
-    return m;
-}
-
 std::vector<MetricSet>
 ExperimentRunner::runAll(const std::vector<Point> &points)
 {
@@ -569,8 +528,9 @@ ExperimentRunner::runAll(const std::vector<Point> &points, unsigned threads)
 
     // One job per simulation that must actually run. With caching on,
     // duplicate uncached keys collapse into one job and the repeats
-    // resolve from the memo cache afterwards — exactly what a serial
-    // run() loop would do (first occurrence simulates, the rest hit).
+    // resolve from the memo cache afterwards — exactly what running
+    // the points in order would do (first occurrence simulates, the
+    // rest hit).
     struct Job
     {
         std::size_t workIdx;
@@ -648,21 +608,24 @@ ExperimentRunner::runAll(const std::vector<Point> &points, unsigned threads)
         }
     }
 
-    // Derive the slowdown/fairness block of every point that carries
-    // baselines, then persist the enriched row (once per key: a row
-    // already carrying fairness columns is left alone).
+    // Derive every point's slowdown/fairness block from its baselines.
+    // A point without baselines gets an empty block even when it
+    // recalled a row that a fairness point enriched, so its metrics do
+    // not depend on what ran before. Then persist each enriched row
+    // (once per key: a row already carrying fairness columns is left
+    // alone).
     for (std::size_t i = 0; i < points.size(); ++i) {
         const Point &p = points[i];
-        if (p.baselines.empty())
-            continue;
         std::vector<AloneBaselineMetrics> alone;
-        alone.reserve(p.baselines.size());
         for (std::size_t j = 0; j < p.baselines.size(); ++j) {
             alone.push_back({p.baselines[j].firstCore,
                              p.baselines[j].numCores,
                              &res[baselineAt[i][j]]});
         }
-        if (!deriveFairnessMetrics(res[i], alone)) {
+        const bool derived = deriveFairnessMetrics(res[i], alone);
+        if (alone.empty())
+            continue;
+        if (!derived) {
             mc_warn("alone-run baselines of point ", i,
                     " do not cover its cores; fairness metrics stay 0");
         }

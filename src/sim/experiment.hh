@@ -34,7 +34,7 @@ namespace mcsim {
  * simulated result (ExperimentCache.GoldenRowsPinModelVersion fails
  * then), so rows simulated by the old model are never recalled.
  */
-constexpr unsigned kModelVersion = 1;
+constexpr unsigned kModelVersion = 2;
 
 /** Memoizing simulation runner. */
 class ExperimentRunner
@@ -92,18 +92,13 @@ class ExperimentRunner
     explicit ExperimentRunner(std::string cachePath = "");
 
     /**
-     * Run (or recall) one simulation of @p workload under @p cfg.
-     * Honors CLOUDMC_FAST=<divisor> by dividing the warmup/measure
-     * windows, for quick smoke runs.
-     */
-    MetricSet run(WorkloadId workload, const SimConfig &cfg);
-
-    /**
      * Run (or recall) a whole sweep, executing uncached points on up
-     * to @p threads worker threads. Points are independent, so the
+     * to @p threads worker threads; a lone point is a one-element
+     * batch. Each simulation shortens its windows by CLOUDMC_FAST
+     * (SimConfig::shortenWindows). Points are independent, so the
      * returned metrics (ordered like @p points) are identical to
-     * calling run() in a serial loop, and the cacheHits() /
-     * simulationsRun() counters advance exactly as the serial loop
+     * running the points one at a time in order, and the cacheHits() /
+     * simulationsRun() counters advance exactly as that serial order
      * would advance them: duplicate uncached points simulate once and
      * count the repeats as hits.
      */
@@ -121,7 +116,8 @@ class ExperimentRunner
      */
     static unsigned defaultThreads();
 
-    /** The CLOUDMC_FAST window divisor (1 when unset). A set but
+    /** The CLOUDMC_FAST window divisor (1 when unset), applied to
+     *  every simulation through SimConfig::shortenWindows. A set but
      *  malformed or zero value exits with a named error. */
     static std::uint64_t fastDivisor();
 
@@ -156,9 +152,6 @@ class ExperimentRunner
     std::uint64_t cacheHits() const { return cacheHits_; }
     std::uint64_t simulationsRun() const { return simulationsRun_; }
 
-    /** False when constructed with "-": results are never memoized. */
-    bool cachingEnabled() const { return cachingEnabled_; }
-
   private:
     void loadCache();
     /**
@@ -167,12 +160,10 @@ class ExperimentRunner
      * lines. Caller holds mu_.
      */
     void appendToCache(const std::string &key, const MetricSet &m);
-    static MetricSet simulate(WorkloadId workload, const SimConfig &cfg,
-                              std::uint32_t presetCores = 0);
     static MetricSet simulatePoint(const Point &p);
 
     std::string cachePath_;
-    bool cachingEnabled_ = true;
+    bool cachingEnabled_ = true; ///< False for "-": never memoized.
     std::mutex mu_; ///< Guards cache_, the counters, and the CSV append.
     std::map<std::string, MetricSet> cache_;
     std::uint64_t cacheHits_ = 0;

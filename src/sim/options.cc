@@ -10,16 +10,14 @@ namespace mcsim {
 
 namespace {
 
-/** --fast D: shorten both windows by D, measure floored at 100k. */
+/** --fast D: shorten both windows by D (SimConfig::shortenWindows). */
 std::string
 applyFast(SimConfig &cfg, const std::string &value)
 {
     std::uint64_t d = 0;
     if (!parseUint(value, d) || d == 0)
         return "needs a nonzero divisor, got '" + value + "'";
-    cfg.warmupCoreCycles /= d;
-    cfg.measureCoreCycles =
-        std::max<std::uint64_t>(cfg.measureCoreCycles / d, 100'000);
+    cfg.shortenWindows(d);
     return {};
 }
 
@@ -152,7 +150,8 @@ ExperimentOptions::usage(const std::string &tool)
                                                       : ""));
     }
     row("--config FILE", "apply a spec file's lines at this position");
-    row("--fast D", "divide warmup and measure by D (measure >= 100k)");
+    row("--fast D", "divide warmup and measure by D (measure >= 100k if "
+                    "D > 1)");
     row("--fairness", "same as --fairness on");
     row("--csv", "CSV output");
     row("--list", "list every legal name");

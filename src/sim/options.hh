@@ -55,8 +55,8 @@ struct ExperimentOptions
      *   --help, -h   --list   --csv
      *   --fairness   bare form of `--fairness on`
      *   --config F   apply spec file F here
-     *   --fast D     divide the current warmup and measure windows
-     *                by D (measure floored at 100k cycles)
+     *   --fast D     shorten the current warmup and measure windows
+     *                by D (SimConfig::shortenWindows)
      */
     std::string parse(int argc, char **argv);
 

@@ -7,6 +7,7 @@
 #ifndef CLOUDMC_SIM_SIM_CONFIG_HH
 #define CLOUDMC_SIM_SIM_CONFIG_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -42,15 +43,12 @@ struct SimConfig
     DramPowerParams power = DramPowerParams::ddr3_1600();
     bool refreshEnabled = true;
 
-    /** Which memory backend the System composes. applyDevice() keeps
-     *  this in step with the device geometry (vaultsPerStack > 0
-     *  selects the stacked backend). */
-    MemBackendKind backend = MemBackendKind::FlatDram;
     /** Dynamic vault/bank remapping knobs (stacked backend only; the
      *  spec loader rejects remap keys on a flat backend). */
     RemapConfig remap;
-    /** Tiered-memory knobs. When tier.enabled, `backend` names the
-     *  fast tier and makeMemBackend() wraps it in a TieredMemBackend
+    /** Tiered-memory knobs. When tier.enabled, the device's backend
+     *  (flat, or stacked when dram.vaultsPerStack > 0) is the fast
+     *  tier and makeMemBackend() wraps it in a TieredMemBackend
      *  (slow CXL/NVM-like tier + DAMON-style monitor + placement
      *  policy). The spec loader rejects tier- and monitor-only keys
      *  unless `tier on` is set. */
@@ -117,8 +115,6 @@ struct SimConfig
         const std::uint32_t channels = dram.channels;
         dram = dev.geometry;
         dram.channels = channels;
-        backend = dram.vaultsPerStack ? MemBackendKind::StackedDram
-                                      : MemBackendKind::FlatDram;
         clocks = ClockDomains::fromMhz(clocks.coreMhz, dev.busMhz);
     }
 
@@ -137,6 +133,22 @@ struct SimConfig
                   "vault count");
         dram.rowsPerBank = dram.rowsPerBank * dram.vaultsPerStack / vaults;
         dram.vaultsPerStack = vaults;
+    }
+
+    /**
+     * The window rule of `--fast D` and CLOUDMC_FAST=D: divide both
+     * windows by @p divisor, flooring the measured window at 100k core
+     * cycles. A divisor of 1 leaves both windows untouched.
+     */
+    void
+    shortenWindows(std::uint64_t divisor)
+    {
+        mc_assert(divisor >= 1, "window divisor must be positive");
+        if (divisor == 1)
+            return;
+        warmupCoreCycles /= divisor;
+        measureCoreCycles =
+            std::max<std::uint64_t>(measureCoreCycles / divisor, 100'000);
     }
 
     /** Change the core frequency, re-deriving the tick grid. */

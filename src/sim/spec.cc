@@ -293,8 +293,7 @@ const std::vector<SpecKey> kSpecKeys = {
          if (v != "flat" && v != "stacked")
              return "must be 'flat' or 'stacked', got '" + v + "'";
          s.hasBackend = true;
-         s.backendKind = v == "flat" ? MemBackendKind::FlatDram
-                                     : MemBackendKind::StackedDram;
+         s.stackedBackend = v == "stacked";
          return {};
      }},
     {"vaults", nullptr, "N,...  vault counts (powers of two)",
@@ -411,9 +410,7 @@ finishSpec(ExperimentSpec &spec)
 {
     // `backend = stacked` with no device axis selects the stacked
     // reference part; `flat` is just an assertion over the sweep.
-    if (spec.hasBackend &&
-        spec.backendKind == MemBackendKind::StackedDram &&
-        spec.devices.empty()) {
+    if (spec.hasBackend && spec.stackedBackend && spec.devices.empty()) {
         spec.base.applyDevice(dramDeviceOrDie("HMC2-8GB"));
     }
 
@@ -428,13 +425,11 @@ finishSpec(ExperimentSpec &spec)
     for (const std::string &d : effDevs) {
         const bool stacked =
             dramDeviceOrDie(d).geometry.vaultsPerStack > 0;
-        if (spec.hasBackend &&
-            spec.backendKind == MemBackendKind::StackedDram && !stacked) {
+        if (spec.hasBackend && spec.stackedBackend && !stacked) {
             return "backend = stacked, but device '" + d +
                    "' is a flat JEDEC part";
         }
-        if (spec.hasBackend &&
-            spec.backendKind == MemBackendKind::FlatDram && stacked) {
+        if (spec.hasBackend && !spec.stackedBackend && stacked) {
             return "backend = flat, but device '" + d +
                    "' is a stacked part (a stacked device always "
                    "composes the stacked backend)";

@@ -48,9 +48,10 @@ struct ExperimentSpec
     std::vector<std::uint32_t> vaultCounts;
 
     /** The `backend` key, when present: every swept device must
-     *  compose this backend kind (parse fails otherwise). */
+     *  compose this backend, stacked or flat (parse fails
+     *  otherwise). */
     bool hasBackend = false;
-    MemBackendKind backendKind = MemBackendKind::FlatDram;
+    bool stackedBackend = false;
     /** First stacked-scope key seen (vaults, remap); finishSpec fails
      *  when one is present and a swept device is flat. */
     std::string stackedOnlyKey;

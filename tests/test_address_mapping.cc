@@ -131,8 +131,11 @@ TEST(Mapping, SingleChannelSchemesAgree)
 
 TEST(Mapping, SchemeNamesRoundtrip)
 {
-    for (auto s : kExtendedMappingSchemes)
-        EXPECT_EQ(mappingSchemeFromName(mappingSchemeName(s)), s);
+    for (auto s : kExtendedMappingSchemes) {
+        MappingScheme back{};
+        EXPECT_TRUE(tryMappingSchemeFromName(mappingSchemeName(s), back));
+        EXPECT_EQ(back, s);
+    }
 }
 
 TEST(Mapping, PermBaXorSpreadsSameBankRowsOverBanks)
@@ -313,10 +316,14 @@ TEST(GroupMapping, SingleGroupGeometryIgnoresThePlacement)
 
 TEST(GroupMapping, NamesRoundtrip)
 {
-    for (auto m : kAllBankGroupMappings)
-        EXPECT_EQ(bankGroupMappingFromName(bankGroupMappingName(m)), m);
-    EXPECT_EQ(bankGroupMappingFromName("interleaved"),
-              BankGroupMapping::GroupInterleaved);
-    EXPECT_EQ(bankGroupMappingFromName("packed"),
-              BankGroupMapping::GroupPacked);
+    BankGroupMapping back{};
+    for (auto m : kAllBankGroupMappings) {
+        EXPECT_TRUE(
+            tryBankGroupMappingFromName(bankGroupMappingName(m), back));
+        EXPECT_EQ(back, m);
+    }
+    EXPECT_TRUE(tryBankGroupMappingFromName("interleaved", back));
+    EXPECT_EQ(back, BankGroupMapping::GroupInterleaved);
+    EXPECT_TRUE(tryBankGroupMappingFromName("packed", back));
+    EXPECT_EQ(back, BankGroupMapping::GroupPacked);
 }

@@ -77,16 +77,16 @@ TEST(Backend, RegistryCarriesAStackedPart)
 TEST(Backend, KindFollowsDeviceGeometry)
 {
     SimConfig flat = SimConfig::baseline();
-    EXPECT_EQ(flat.backend, MemBackendKind::FlatDram);
+    EXPECT_EQ(flat.dram.vaultsPerStack, 0u);
     flat.applyDevice(dramDeviceOrDie("DDR4-2400"));
-    EXPECT_EQ(flat.backend, MemBackendKind::FlatDram);
+    EXPECT_EQ(flat.dram.vaultsPerStack, 0u);
 
     SimConfig hmc = SimConfig::baseline();
     hmc.applyDevice(dramDeviceOrDie("HMC2-8GB"));
-    EXPECT_EQ(hmc.backend, MemBackendKind::StackedDram);
+    EXPECT_GT(hmc.dram.vaultsPerStack, 0u);
     // Moving back to a flat part flips the kind back.
     hmc.applyDevice(dramDeviceOrDie("DDR3-1600"));
-    EXPECT_EQ(hmc.backend, MemBackendKind::FlatDram);
+    EXPECT_EQ(hmc.dram.vaultsPerStack, 0u);
 }
 
 TEST(Backend, FactoryBuildsTheSelectedBackend)
@@ -95,14 +95,14 @@ TEST(Backend, FactoryBuildsTheSelectedBackend)
     flat.dram.channels = 2;
     auto fb = makeMemBackend(flat, flat.numCores);
     ASSERT_TRUE(fb);
-    EXPECT_EQ(fb->kind(), MemBackendKind::FlatDram);
+    EXPECT_EQ(flat.dram.vaultsPerStack, 0u);
     EXPECT_EQ(fb->numQueues(), 2u);
 
     SimConfig hmc = stackedConfig(/*vaults=*/8);
     hmc.dram.channels = 2; // Two stacks.
     auto sb = makeMemBackend(hmc, hmc.numCores);
     ASSERT_TRUE(sb);
-    EXPECT_EQ(sb->kind(), MemBackendKind::StackedDram);
+    EXPECT_EQ(hmc.dram.vaultsPerStack, 8u);
     EXPECT_EQ(sb->numQueues(), 16u); // 2 stacks x 8 vaults.
     EXPECT_EQ(sb->capacityBytes(), 16ull << 30);
 }

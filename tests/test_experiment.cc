@@ -161,7 +161,8 @@ TEST(ExperimentCache, CorruptLinesAreIgnored)
         out << "\n";
     }
     ExperimentRunner runner(path);
-    const MetricSet m = runner.run(WorkloadId::WS, tinyConfig());
+    const MetricSet m =
+        runner.runAll({{WorkloadId::WS, tinyConfig()}}, 1)[0];
     // The corrupt rows never match; a real simulation ran.
     EXPECT_EQ(runner.simulationsRun(), 1u);
     EXPECT_EQ(runner.cacheHits(), 0u);
@@ -181,7 +182,7 @@ TEST(ExperimentCache, OldFormatRowsResimulate)
                           "5000,120,55,77,99,1.1,1.2,1.3,,,42.5,0.25,3,7,"
                           ",50,300,2,8\n");
     ExperimentRunner runner(path);
-    (void)runner.run(WorkloadId::WS, cfg);
+    (void)runner.runAll({{WorkloadId::WS, cfg}}, 1);
     EXPECT_EQ(runner.simulationsRun(), 1u);
     EXPECT_EQ(runner.cacheHits(), 0u);
     std::remove(path.c_str());
@@ -196,7 +197,7 @@ TEST(ExperimentCache, RowsWithBadFieldsResimulate)
     const SimConfig cfg = tinyConfig();
     {
         ExperimentRunner runner(path);
-        (void)runner.run(WorkloadId::WS, cfg);
+        (void)runner.runAll({{WorkloadId::WS, cfg}}, 1);
     }
     std::string row = readFile(path);
     ASSERT_FALSE(row.empty());
@@ -222,13 +223,13 @@ TEST(ExperimentCache, RowsWithBadFieldsResimulate)
         SCOPED_TRACE(bad);
         writeFile(path, bad + "\n");
         ExperimentRunner runner(path);
-        (void)runner.run(WorkloadId::WS, cfg);
+        (void)runner.runAll({{WorkloadId::WS, cfg}}, 1);
         EXPECT_EQ(runner.simulationsRun(), 1u);
     }
     // The intact row itself recalls.
     writeFile(path, row + "\n");
     ExperimentRunner runner(path);
-    (void)runner.run(WorkloadId::WS, cfg);
+    (void)runner.runAll({{WorkloadId::WS, cfg}}, 1);
     EXPECT_EQ(runner.simulationsRun(), 0u);
     std::remove(path.c_str());
 }
@@ -398,7 +399,7 @@ TEST(ExperimentParallel, RunAllMatchesSerialLoop)
         ExperimentRunner serial("-");
         std::vector<MetricSet> expected;
         for (const auto &p : points)
-            expected.push_back(serial.run(p.workload, p.cfg));
+            expected.push_back(serial.runAll({p}, 1)[0]);
 
         ExperimentRunner parallel("-");
         const auto got = parallel.runAll(points, 4);
@@ -820,7 +821,7 @@ TEST(ExperimentCache, GoldenRowsPinModelVersion)
     std::remove(path.c_str());
 
     const std::uint64_t h = fnv1a(rows);
-    constexpr std::uint64_t kGoldenRowsHash = 0x2db4851bd698b5efull;
+    constexpr std::uint64_t kGoldenRowsHash = 0x7e8183a0abb38a13ull;
     EXPECT_EQ(h, kGoldenRowsHash)
         << "results changed: bump kModelVersion (src/sim/experiment.hh) "
            "and re-record kGoldenRowsHash as 0x"
@@ -854,12 +855,32 @@ TEST(ExperimentCache, GoldenRowsPinTieredOverStacked)
     std::remove(path.c_str());
 
     const std::uint64_t h = fnv1a(rows);
-    constexpr std::uint64_t kGoldenRowsHash = 0x7e17a1e671e45d60ull;
+    constexpr std::uint64_t kGoldenRowsHash = 0x473a5a0a7d56d881ull;
     EXPECT_EQ(h, kGoldenRowsHash)
         << "results changed: bump kModelVersion (src/sim/experiment.hh) "
            "and re-record kGoldenRowsHash as 0x"
         << std::hex << h << "\nrows:\n"
         << rows;
+}
+
+TEST(ExperimentWindows, UnsetFastKeepsAShortMeasureWindow)
+{
+    // With CLOUDMC_FAST unset the runner keeps both windows as given,
+    // so the point measures the 50k cycles its "+50k" key names.
+    FastEnvGuard guard;
+    SimConfig cfg = tinyConfig();
+    cfg.warmupCoreCycles = 10'000;
+    cfg.measureCoreCycles = 50'000;
+    ExperimentRunner runner("-");
+    EXPECT_EQ(runner.runAll({{WorkloadId::WS, cfg}}, 1)[0].measuredCycles,
+              50'000u);
+
+    // A divisor shortens through the same rule, floor included.
+    setenv("CLOUDMC_FAST", "5", 1);
+    EXPECT_EQ(runner.runAll({{WorkloadId::WS, tinyConfig()}}, 1)[0]
+                  .measuredCycles,
+              100'000u);
+    unsetenv("CLOUDMC_FAST");
 }
 
 TEST(ExperimentEnv, FastDivisorReadsAPositiveInteger)

@@ -278,6 +278,28 @@ TEST(Fairness, BaselinesMemoizeAcrossRepeatedSweeps)
     std::remove(path.c_str());
 }
 
+TEST(Fairness, PlainPointRecallsWithoutTheFairnessBlock)
+{
+    // A fairness point stores its enriched row under the plain point's
+    // key; the plain point recalls it but reports the same empty
+    // fairness block as a cold run, whatever ran before it.
+    FastEnvGuard guard;
+    const std::string path = tempCachePath("plain_after_fair");
+    std::remove(path.c_str());
+    const ExperimentRunner::Point plain(WorkloadId::WS, tinyConfig());
+    ExperimentRunner::Point fair = plain;
+    ExperimentRunner::attachAloneBaseline(fair);
+
+    ExperimentRunner runner(path);
+    const MetricSet cold = runner.runAll({plain}, 1).front();
+    ASSERT_TRUE(runner.runAll({fair}, 1).front().hasFairness());
+    const MetricSet recalled = runner.runAll({plain}, 1).front();
+    EXPECT_EQ(runner.simulationsRun(), 2u); // Shared run + alone run.
+    EXPECT_FALSE(recalled.hasFairness());
+    EXPECT_EQ(metricMismatch(recalled, cold), "");
+    std::remove(path.c_str());
+}
+
 TEST(Fairness, MetricsBitIdenticalAcrossKernels)
 {
     FastEnvGuard guard;

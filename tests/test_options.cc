@@ -148,6 +148,11 @@ TEST(Options, FastClampsMeasureFloor)
     ExperimentOptions opts;
     EXPECT_EQ(parseArgs(opts, {"--fast", "1000000"}), "");
     EXPECT_EQ(opts.config.measureCoreCycles, 100'000u);
+
+    // Divisor 1 divides nothing, so it floors nothing either.
+    ExperimentOptions one;
+    EXPECT_EQ(parseArgs(one, {"--measure", "50000", "--fast", "1"}), "");
+    EXPECT_EQ(one.config.measureCoreCycles, 50'000u);
 }
 
 TEST(Options, FairnessFlagPropagatesToSpec)
@@ -294,14 +299,13 @@ TEST(Options, BackendFlagSelectsStackedPart)
                                "--remap", "on"}),
               "");
     EXPECT_EQ(opts.config.deviceName, "HMC2-8GB");
-    EXPECT_EQ(opts.config.backend, MemBackendKind::StackedDram);
     EXPECT_EQ(opts.config.dram.vaultsPerStack, 8u);
     EXPECT_TRUE(opts.config.remap.enabled);
 
     // --backend flat on the (flat) baseline is a no-op.
     ExperimentOptions flat;
     EXPECT_EQ(parseArgs(flat, {"--backend", "flat"}), "");
-    EXPECT_EQ(flat.config.backend, MemBackendKind::FlatDram);
+    EXPECT_EQ(flat.config.dram.vaultsPerStack, 0u);
 }
 
 TEST(Options, StackedOnlyFlagsAreNamedErrorsOnFlat)

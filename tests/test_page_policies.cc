@@ -249,6 +249,38 @@ TEST(Factory, AllPoliciesConstructible)
           PagePolicyKind::Timer, PagePolicyKind::History}) {
         auto p = makePagePolicy(kind);
         ASSERT_NE(p, nullptr);
-        EXPECT_EQ(pagePolicyKindFromName(pagePolicyKindName(kind)), kind);
+        PagePolicyKind back{};
+        EXPECT_TRUE(
+            tryPagePolicyKindFromName(pagePolicyKindName(kind), back));
+        EXPECT_EQ(back, kind);
     }
+}
+
+using PagePolicyDeathTest = ::testing::Test;
+
+TEST(PagePolicyDeathTest, RbppRejectsAnEmptyTable)
+{
+    // Zero registers would leave onPrecharge indexing t[0] of an empty
+    // table.
+    EXPECT_DEATH({ RbppPolicy p(0); }, "marrsPerBank >= 1");
+    RbppPolicy one(1);
+    one.onPrecharge(0, 7, 3);
+    EXPECT_EQ(one.predictedHits(0, 7), 2);
+}
+
+TEST(PagePolicyDeathTest, AbppRejectsAnEmptyTable)
+{
+    EXPECT_DEATH({ AbppPolicy p(0); }, "entriesPerBank >= 1");
+    AbppPolicy one(1);
+    one.onPrecharge(0, 7, 1);
+    EXPECT_EQ(one.predictedHits(0, 7), 0);
+}
+
+TEST(PagePolicyDeathTest, HistoryRejectsMoreThan16Bits)
+{
+    // A 2^bits counter table per bank; 32 bits would also shift
+    // 1u << 32, which is undefined.
+    EXPECT_DEATH({ HistoryPolicy p(17); }, "historyBits <= 16");
+    HistoryPolicy widest(16);
+    EXPECT_TRUE(widest.predictsSingleAccess(0));
 }

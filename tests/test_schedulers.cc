@@ -792,6 +792,9 @@ TEST(Factory, AllSchedulersConstructible)
                       SchedulerKind::Stfm}) {
         auto s = makeScheduler(kind, 16);
         ASSERT_NE(s, nullptr);
-        EXPECT_EQ(schedulerKindFromName(schedulerKindName(kind)), kind);
+        SchedulerKind back{};
+        EXPECT_TRUE(
+            trySchedulerKindFromName(schedulerKindName(kind), back));
+        EXPECT_EQ(back, kind);
     }
 }

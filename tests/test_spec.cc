@@ -207,14 +207,14 @@ TEST(Spec, StackedBackendSelectsTheReferencePart)
                                   spec),
               "");
     EXPECT_EQ(spec.base.deviceName, "HMC2-8GB");
-    EXPECT_EQ(spec.base.backend, MemBackendKind::StackedDram);
+    EXPECT_GT(spec.base.dram.vaultsPerStack, 0u);
     EXPECT_TRUE(spec.base.remap.enabled);
     EXPECT_EQ(spec.pointCount(), 3u);
     const auto points = spec.points();
     ASSERT_EQ(points.size(), 3u);
     std::uint64_t capacity = 0;
     for (std::size_t i = 0; i < points.size(); ++i) {
-        EXPECT_EQ(points[i].cfg.backend, MemBackendKind::StackedDram);
+        EXPECT_GT(points[i].cfg.dram.vaultsPerStack, 0u);
         EXPECT_TRUE(points[i].cfg.remap.enabled);
         // The vault sweep preserves capacity (rows scale inversely).
         if (i == 0)
@@ -274,7 +274,7 @@ TEST(Spec, BackendDeviceMismatchesAreNamedErrors)
     ASSERT_EQ(parseExperimentSpec("device = HMC2-8GB\nremap = on\n",
                                   spec),
               "");
-    EXPECT_EQ(spec.base.backend, MemBackendKind::StackedDram);
+    EXPECT_GT(spec.base.dram.vaultsPerStack, 0u);
     EXPECT_TRUE(spec.base.remap.enabled);
 }
 
@@ -426,7 +426,7 @@ TEST(Spec, TieredSpecWorksOnTheStackedBackend)
                                   "tier_policy = static_split\n",
                                   spec),
               "");
-    EXPECT_EQ(spec.base.backend, MemBackendKind::StackedDram);
+    EXPECT_GT(spec.base.dram.vaultsPerStack, 0u);
     EXPECT_TRUE(spec.base.tier.enabled);
     EXPECT_EQ(spec.base.tier.policy, TierPolicy::StaticSplit);
 }

