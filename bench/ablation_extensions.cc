@@ -1,7 +1,6 @@
 /**
  * @file
- * Ablation bench for the design choices DESIGN.md calls out beyond
- * the paper's evaluation:
+ * Ablation bench for design choices beyond the paper's evaluation:
  *
  *  1. FQM and strict single-queue FCFS schedulers (the paper excludes
  *     both; FQM as dominated, FCFS as evaluating only FCFS_banks).

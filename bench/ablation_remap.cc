@@ -23,28 +23,29 @@
  *        (defaults: 1M measured core cycles, theta 0.99,
  *        BENCH_remap.json)
  *
- * Honors CLOUDMC_FAST=<divisor> like the experiment runner (the CI
- * smoke runs with CLOUDMC_FAST=50). The improvement gate (exit 2 when
- * remap-on p99 fails to beat remap-off) arms only on full-length runs:
- * a /50 smoke closes too few remap windows for the gate to be
- * meaningful there.
+ * Both variants run as one ExperimentRunner batch, so CLOUDMC_FAST
+ * shortens their windows by SimConfig::shortenWindows like every
+ * other point (the CI smoke runs with CLOUDMC_FAST=50, which measures
+ * 100k cycles); the stamp's measure_core_cycles is the window
+ * measured. The improvement gate (exit 2 when remap-on p99 fails to
+ * beat remap-off) arms only on full-length runs: a /50 smoke closes
+ * too few remap windows for the gate to be meaningful there.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 
 #include "bench_common.hh"
 #include "dram/devices.hh"
 #include "mem/address_mapping.hh"
-#include "sim/system.hh"
 
 using namespace mcsim;
 
 namespace {
 
-MetricSet
-runOnce(const SimConfig &cfg, double theta, double memProb)
+/** One variant's point: Zipf traffic over (vault, bank) slots. */
+ExperimentRunner::Point
+zipfVaultPoint(const SimConfig &cfg, double theta, double memProb)
 {
     // The stacked backend's mapper view: one "channel" per vault.
     DramGeometry geom = cfg.dram;
@@ -54,9 +55,9 @@ runOnce(const SimConfig &cfg, double theta, double memProb)
     geom.validate();
     const AddressMapper mapper(geom, cfg.mapping, cfg.bankGroupMapping);
     const std::uint32_t banks = geom.banksPerRank;
-    bench::ZipfTraffic traffic(
-        cfg, cfg.numCores, std::uint64_t{geom.channels} * banks, theta,
-        memProb, "ZipfVault", [&](std::uint64_t slot, Pcg32 &rng) {
+    return bench::ZipfTraffic::point(
+        cfg, std::uint64_t{geom.channels} * banks, theta, memProb,
+        "ZipfVault", [geom, mapper, banks](std::uint64_t slot, Pcg32 &rng) {
             DramCoord c;
             c.channel = static_cast<std::uint32_t>(slot / banks);
             c.bank = static_cast<std::uint32_t>(slot % banks);
@@ -67,8 +68,6 @@ runOnce(const SimConfig &cfg, double theta, double memProb)
             c.column = rng.below(geom.blocksPerRow());
             return mapper.encode(c);
         });
-    System sys(cfg, traffic, cfg.numCores);
-    return sys.run();
 }
 
 } // namespace
@@ -86,8 +85,6 @@ main(int argc, char **argv)
              {"json", "a path", bench::text(jsonPath)}})) {
         return 1;
     }
-    const std::uint64_t fastDiv = ExperimentRunner::fastDivisor();
-    cycles = std::max<std::uint64_t>(cycles / fastDiv, 10'000);
 
     SimConfig cfg = SimConfig::baseline();
     cfg.applyDevice(dramDeviceOrDie("HMC2-8GB"));
@@ -105,8 +102,12 @@ main(int argc, char **argv)
     SimConfig on = cfg;
     on.remap.enabled = true;
 
-    const MetricSet moff = runOnce(off, theta, memProb);
-    const MetricSet mon = runOnce(on, theta, memProb);
+    // Keyless points: both variants always simulate, in one batch.
+    ExperimentRunner runner("-");
+    const auto m = runner.runAll({zipfVaultPoint(off, theta, memProb),
+                                  zipfVaultPoint(on, theta, memProb)});
+    const MetricSet &moff = m[0];
+    const MetricSet &mon = m[1];
 
     const double p99ImprovementPct =
         moff.readLatencyP99 > 0.0
@@ -131,7 +132,7 @@ main(int argc, char **argv)
             {{"device", '"' + cfg.deviceName + '"'},
              {"vaults", formatMetric(std::uint64_t{vaults})},
              {"zipf_theta", formatMetric(theta)},
-             {"measure_core_cycles", formatMetric(cycles)},
+             {"measure_core_cycles", formatMetric(moff.measuredCycles)},
              {"remap_window_accesses",
               formatMetric(std::uint64_t{cfg.remap.windowAccesses})},
              {"remap_off", metricsJson(moff, 2)},
@@ -145,7 +146,8 @@ main(int argc, char **argv)
     // The ablation's reason to exist: on a full-length run the skewed
     // traffic must see its tail improve. Short smoke runs only check
     // that both variants execute.
-    if (fastDiv == 1 && mon.readLatencyP99 >= moff.readLatencyP99) {
+    if (ExperimentRunner::fastDivisor() == 1 &&
+        mon.readLatencyP99 >= moff.readLatencyP99) {
         std::fprintf(stderr,
                      "remap did not improve p99 (%.1f -> %.1f)\n",
                      moff.readLatencyP99, mon.readLatencyP99);

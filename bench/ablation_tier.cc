@@ -32,28 +32,31 @@
  *        shows steady-state overhead, not the learning ramp — theta
  *        0.99, BENCH_tier.json)
  *
- * Honors CLOUDMC_FAST=<divisor> like the experiment runner (the CI
- * smoke runs with CLOUDMC_FAST=50). The improvement gate (exit 2 when
- * hotness_based fails to beat static_split on p99, or its migration
- * overhead passes 5% of DRAM cycles) arms only on full-length runs: a
- * /50 smoke closes too few monitor windows to be meaningful.
+ * The three policies run as one ExperimentRunner batch, so
+ * CLOUDMC_FAST shortens their windows by SimConfig::shortenWindows
+ * like every other point (the CI smoke runs with CLOUDMC_FAST=50,
+ * which measures 100k cycles); the stamp's measure_core_cycles is the
+ * window measured. The improvement gate (exit 2 when hotness_based
+ * fails to beat static_split on p99, or its migration overhead passes
+ * 5% of DRAM cycles) arms only on full-length runs: a /50 smoke
+ * closes too few monitor windows to be meaningful.
  */
 
-#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_common.hh"
 #include "mem/backend.hh"
-#include "sim/system.hh"
 
 using namespace mcsim;
 
 namespace {
 
-MetricSet
-runOnce(const SimConfig &cfg, double theta, double memProb)
+/** One policy's point: Zipf traffic over 64 KiB objects. */
+ExperimentRunner::Point
+zipfObjectPoint(const SimConfig &cfg, double theta, double memProb)
 {
     // A 256 MiB Zipf footprint in 64 KiB objects — far past the 4 MiB
     // shared L2, so the skewed tail reaches DRAM, while each object
@@ -67,15 +70,13 @@ runOnce(const SimConfig &cfg, double theta, double memProb)
     const std::uint64_t objectSlots =
         makeMemBackend(cfg, cfg.numCores)->capacityBytes() / kObjectBytes;
     const std::uint64_t blockBytes = cfg.dram.blockBytes;
-    bench::ZipfTraffic traffic(
-        cfg, cfg.numCores, kObjects, theta, memProb, "ZipfObject",
-        [&](std::uint64_t obj, Pcg32 &rng) {
+    return bench::ZipfTraffic::point(
+        cfg, kObjects, theta, memProb, "ZipfObject",
+        [objectSlots, blockBytes](std::uint64_t obj, Pcg32 &rng) {
             const std::uint64_t block =
                 rng.below64(kObjectBytes / blockBytes);
             return (obj % objectSlots) * kObjectBytes + block * blockBytes;
         });
-    System sys(cfg, traffic, cfg.numCores);
-    return sys.run();
 }
 
 } // namespace
@@ -93,8 +94,6 @@ main(int argc, char **argv)
              {"json", "a path", bench::text(jsonPath)}})) {
         return 1;
     }
-    const std::uint64_t fastDiv = ExperimentRunner::fastDivisor();
-    cycles = std::max<std::uint64_t>(cycles / fastDiv, 10'000);
 
     SimConfig cfg = SimConfig::baseline();
     cfg.warmupCoreCycles = cycles / 4;
@@ -109,6 +108,19 @@ main(int argc, char **argv)
     cfg.tier.hotFactor = 1.5;
     const double memProb = 0.25;
 
+    // Keyless points: every policy always simulates, in one batch.
+    constexpr std::array<TierPolicy, 3> kPolicies = {
+        TierPolicy::StaticSplit, TierPolicy::HotnessBased,
+        TierPolicy::AlloyCache};
+    std::vector<ExperimentRunner::Point> points;
+    for (TierPolicy policy : kPolicies) {
+        SimConfig run = cfg;
+        run.tier.policy = policy;
+        points.push_back(zipfObjectPoint(run, theta, memProb));
+    }
+    ExperimentRunner runner("-");
+    const auto m = runner.runAll(points);
+
     std::vector<std::pair<std::string, std::string>> stamp = {
         {"device", '"' + cfg.deviceName + '"'},
         {"fast_capacity_pct",
@@ -117,31 +129,24 @@ main(int argc, char **argv)
          formatMetric(std::uint64_t{cfg.tier.slowLatencyDramCycles})},
         {"slow_bw_pct", formatMetric(std::uint64_t{cfg.tier.slowBwPct})},
         {"zipf_theta", formatMetric(theta)},
-        {"measure_core_cycles", formatMetric(cycles)},
+        {"measure_core_cycles", formatMetric(m[0].measuredCycles)},
         {"monitor_window_samples",
          formatMetric(std::uint64_t{cfg.tier.monitorWindowSamples})}};
     std::string overheads;
-    std::vector<MetricSet> m;
     std::vector<double> overheadPct;
-    for (TierPolicy policy : {TierPolicy::StaticSplit,
-                              TierPolicy::HotnessBased,
-                              TierPolicy::AlloyCache}) {
-        SimConfig run = cfg;
-        run.tier.policy = policy;
-        m.push_back(runOnce(run, theta, memProb));
+    for (std::size_t i = 0; i < kPolicies.size(); ++i) {
         // Copy overhead: DRAM cycles spent moving tier rows, as a
         // share of the total per-queue DRAM cycles in the window.
         const double dramCycles =
-            static_cast<double>(m.back().measuredCycles) *
-            run.clocks.dramMhz / run.clocks.coreMhz *
-            (run.dram.channels * 2);
+            static_cast<double>(m[i].measuredCycles) * cfg.clocks.dramMhz /
+            cfg.clocks.coreMhz * (cfg.dram.channels * 2);
         overheadPct.push_back(
             dramCycles > 0.0
-                ? 100.0 * static_cast<double>(m.back().tierMigratedRows) *
-                      run.tier.migrationCyclesPerRow / dramCycles
+                ? 100.0 * static_cast<double>(m[i].tierMigratedRows) *
+                      cfg.tier.migrationCyclesPerRow / dramCycles
                 : 0.0);
-        const std::string name = tierPolicyName(policy);
-        stamp.emplace_back(name, metricsJson(m.back(), 2));
+        const std::string name = tierPolicyName(kPolicies[i]);
+        stamp.emplace_back(name, metricsJson(m[i], 2));
         overheads += overheads.empty() ? "{" : ",";
         overheads += "\n    \"" + name +
                      "\": " + formatMetric(overheadPct.back());
@@ -164,7 +169,7 @@ main(int argc, char **argv)
     // monitored policy must beat the static floor on the read tail,
     // and must do it without burning the bus on copies. Short smoke
     // runs only check that all three policies execute.
-    if (fastDiv == 1) {
+    if (ExperimentRunner::fastDivisor() == 1) {
         if (hot.readLatencyP99 >= stat.readLatencyP99) {
             std::fprintf(
                 stderr,

@@ -36,146 +36,6 @@ runConfigStudy(ExperimentRunner &runner,
     return out;
 }
 
-std::vector<Series>
-runSchedulerStudy(ExperimentRunner &runner)
-{
-    std::vector<LabeledConfig> configs;
-    for (auto kind : kPaperSchedulers) {
-        SimConfig cfg = SimConfig::baseline();
-        cfg.scheduler = kind;
-        configs.push_back({schedulerKindName(kind), cfg});
-    }
-    return runConfigStudy(runner, configs);
-}
-
-std::vector<Series>
-runPagePolicyStudy(ExperimentRunner &runner)
-{
-    std::vector<LabeledConfig> configs;
-    for (auto kind : kPaperPagePolicies) {
-        SimConfig cfg = SimConfig::baseline();
-        cfg.pagePolicy = kind;
-        configs.push_back({pagePolicyKindName(kind), cfg});
-    }
-    return runConfigStudy(runner, configs);
-}
-
-std::vector<Series>
-runChannelStudy(ExperimentRunner &runner)
-{
-    // One batch covers the whole study: the 1-channel baseline plus
-    // every (workload, scheme) point at 2 and 4 channels. The
-    // per-workload best columns are then assembled from the batch
-    // results without further simulation.
-    std::vector<Point> points;
-    for (auto wl : kAllWorkloads)
-        points.push_back({wl, SimConfig::baseline()});
-    for (std::uint32_t channels : {2u, 4u}) {
-        for (auto wl : kAllWorkloads) {
-            for (auto scheme : kAllMappingSchemes) {
-                SimConfig cfg = SimConfig::baseline();
-                cfg.dram.channels = channels;
-                cfg.mapping = scheme;
-                points.push_back({wl, cfg});
-            }
-        }
-    }
-    const auto metrics = runner.runAll(points);
-
-    std::vector<Series> out;
-    std::size_t i = 0;
-    {
-        Series s;
-        s.label = "1_channel";
-        for (auto wl : kAllWorkloads)
-            s.results[wl] = metrics[i++];
-        out.push_back(std::move(s));
-    }
-    for (std::uint32_t channels : {2u, 4u}) {
-        Series s;
-        s.label = std::to_string(channels) + "_channel";
-        for (auto wl : kAllWorkloads) {
-            double bestIpc = -1.0;
-            MetricSet bestMetrics;
-            for (auto scheme : kAllMappingSchemes) {
-                (void)scheme;
-                const MetricSet &m = metrics[i++];
-                if (m.userIpc > bestIpc) {
-                    bestIpc = m.userIpc;
-                    bestMetrics = m;
-                }
-            }
-            s.results[wl] = bestMetrics;
-        }
-        out.push_back(std::move(s));
-    }
-    return out;
-}
-
-namespace {
-
-double
-categoryAverage(const Series &s, const Series *base, MetricFn metric,
-                WorkloadCategory cat)
-{
-    double sum = 0.0;
-    int n = 0;
-    for (auto wl : workloadsInCategory(cat)) {
-        double v = metric(s.results.at(wl));
-        if (base)
-            v /= metric(base->results.at(wl));
-        sum += v;
-        ++n;
-    }
-    return n ? sum / n : 0.0;
-}
-
-} // namespace
-
-void
-printFigure(const std::string &title, const std::string &metricName,
-            const std::vector<Series> &series, MetricFn metric,
-            bool normalizeToFirst, int precision, bool csv)
-{
-    TextTable table;
-    std::vector<std::string> header{"workload"};
-    for (const auto &s : series)
-        header.push_back(s.label);
-    table.setHeader(header);
-
-    const Series *base = normalizeToFirst ? &series.front() : nullptr;
-    for (auto wl : kAllWorkloads) {
-        std::vector<std::string> row{workloadAcronym(wl)};
-        for (const auto &s : series) {
-            double v = metric(s.results.at(wl));
-            if (base)
-                v /= metric(base->results.at(wl));
-            row.push_back(TextTable::num(v, precision));
-        }
-        table.addRow(std::move(row));
-    }
-    for (auto cat :
-         {WorkloadCategory::ScaleOut, WorkloadCategory::Transactional,
-          WorkloadCategory::DecisionSupport}) {
-        std::vector<std::string> row{std::string("Avg_") +
-                                     workloadCategoryAcronym(cat)};
-        for (const auto &s : series) {
-            row.push_back(TextTable::num(
-                categoryAverage(s, base, metric, cat), precision));
-        }
-        table.addRow(std::move(row));
-    }
-
-    if (!csv) {
-        std::printf("%s\n%s%s\n", title.c_str(),
-                    normalizeToFirst ? "(normalized to the first column) "
-                                     : "",
-                    metricName.c_str());
-    }
-    std::printf("%s\n",
-                csv ? table.renderCsv().c_str() : table.render().c_str());
-}
-
 bool
 sweepFlags(int argc, char **argv)
 {
@@ -188,10 +48,10 @@ sweepFlags(int argc, char **argv)
             pairs.push_back(argv[i]);
     }
     std::uint64_t fast = 0, threads = 0;
-    if (!parseBenchFlags(static_cast<int>(pairs.size()), pairs.data(),
-                         {{"fast", "a positive integer", positiveUint(fast)},
-                          {"threads", "a positive integer",
-                           positiveUint(threads)}})) {
+    if (!parseBenchFlags(
+            static_cast<int>(pairs.size()), pairs.data(),
+            {{"fast", "a positive integer", positiveUint(fast)},
+             {"threads", "a positive integer", positiveUint(threads)}})) {
         std::exit(1);
     }
     if (fast)
@@ -199,23 +59,6 @@ sweepFlags(int argc, char **argv)
     if (threads)
         setenv("CLOUDMC_THREADS", std::to_string(threads).c_str(), 1);
     return csv;
-}
-
-int
-figureMain(int argc, char **argv, const std::string &title,
-           const std::string &metricName,
-           std::vector<Series> (*study)(ExperimentRunner &),
-           MetricFn metric, bool normalizeToFirst, int precision)
-{
-    const bool csv = sweepFlags(argc, argv);
-    ExperimentRunner runner;
-    const auto series = study(runner);
-    printFigure(title, metricName, series, metric, normalizeToFirst,
-                precision, csv);
-    std::fprintf(stderr, "[bench] %llu simulations run, %llu from cache\n",
-                 static_cast<unsigned long long>(runner.simulationsRun()),
-                 static_cast<unsigned long long>(runner.cacheHits()));
-    return 0;
 }
 
 std::function<bool(const std::string &)>
@@ -318,17 +161,31 @@ writeStamp(const std::string &path, const char *bench,
     return std::fclose(f) == 0;
 }
 
-ZipfTraffic::ZipfTraffic(const SimConfig &cfg, std::uint32_t cores,
-                         std::uint64_t items, double theta, double memProb,
-                         const char *name, Place place)
+ZipfTraffic::ZipfTraffic(const SimConfig &cfg, std::uint64_t items,
+                         double theta, double memProb, const char *name,
+                         Place place)
     : blockBytes_(cfg.dram.blockBytes), zipf_(items, theta),
       memProb_(memProb), name_(name), place_(std::move(place))
 {
-    for (std::uint32_t c = 0; c < cores; ++c) {
+    for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
         CoreState cs;
         cs.rng.reseed(cfg.seed, 0x5851f42d4c957f2dULL + c);
         cores_.push_back(cs);
     }
+}
+
+Point
+ZipfTraffic::point(const SimConfig &cfg, std::uint64_t items, double theta,
+                   double memProb, const char *name, Place place)
+{
+    Point p;
+    p.cfg = cfg;
+    p.customCores = cfg.numCores;
+    p.makeGenerator = [cfg, items, theta, memProb, name, place] {
+        return std::make_unique<ZipfTraffic>(cfg, items, theta, memProb,
+                                             name, place);
+    };
+    return p;
 }
 
 Addr

@@ -1,8 +1,7 @@
 /**
  * @file
- * Shared machinery for the bench binaries: the scheduler / page-policy
- * / channel sweeps behind the paper's figures, the table printer that
- * emits the same rows the paper reports, and the flag reader, Zipf
+ * Shared machinery for the bench binaries: the config study behind
+ * the figure tables, the sweep and bench flag readers, and the Zipf
  * traffic and JSON stamp of the single-configuration benches.
  *
  * All binaries share one on-disk results cache (see ExperimentRunner),
@@ -25,9 +24,6 @@
 #include "workload/workload.hh"
 
 namespace mcsim::bench {
-
-/** Extracts the figure's metric from one run's results. */
-using MetricFn = std::function<double(const MetricSet &)>;
 
 /** One column of a figure: a configuration label and its per-workload
  *  results keyed by WorkloadId. */
@@ -54,34 +50,6 @@ runConfigStudy(ExperimentRunner &runner,
                const std::vector<WorkloadId> &workloads = {
                    kAllWorkloads.begin(), kAllWorkloads.end()});
 
-/** Run the paper's scheduler sweep (Figures 1-7): 5 schedulers x 12
- *  workloads on the Table 2 baseline. First series is FR-FCFS. */
-std::vector<Series> runSchedulerStudy(ExperimentRunner &runner);
-
-/** Run the page-policy sweep (Figures 9-11): 4 policies x 12
- *  workloads under FR-FCFS. First series is OpenAdaptive. */
-std::vector<Series> runPagePolicyStudy(ExperimentRunner &runner);
-
-/**
- * Run the multi-channel sweep (Figures 12-14, Table 4). For 2 and 4
- * channels every mapping scheme is simulated; each workload's entry
- * holds its best-IPC scheme (the paper reports best-per-workload).
- * First series is the 1-channel baseline.
- */
-std::vector<Series> runChannelStudy(ExperimentRunner &runner);
-
-/**
- * Print a figure: one row per workload plus the three category
- * averages, one column per series. When @p normalizeToFirst is set,
- * values are divided by the first series' value for that workload
- * (the paper's normalization), and category averages are means of the
- * normalized values.
- */
-void printFigure(const std::string &title, const std::string &metricName,
-                 const std::vector<Series> &series, MetricFn metric,
-                 bool normalizeToFirst, int precision = 3,
-                 bool csv = false);
-
 /**
  * Read the sweep benches' flags: --fast N and --threads N set
  * CLOUDMC_FAST and CLOUDMC_THREADS for the runner. Returns whether
@@ -90,17 +58,6 @@ void printFigure(const std::string &title, const std::string &metricName,
  * exits 1.
  */
 bool sweepFlags(int argc, char **argv);
-
-/**
- * Standard main() body: handles the sweepFlags() flags. Studies
- * submit their whole sweep as one ExperimentRunner batch, so uncached
- * points run on a worker pool (CLOUDMC_THREADS or the hardware
- * concurrency by default).
- */
-int figureMain(int argc, char **argv, const std::string &title,
-               const std::string &metricName,
-               std::vector<Series> (*study)(ExperimentRunner &),
-               MetricFn metric, bool normalizeToFirst, int precision = 3);
 
 /**
  * One `--name value` flag of a single-configuration bench: parse()
@@ -151,13 +108,14 @@ bool writeStamp(
     const std::vector<std::pair<std::string, std::string>> &members);
 
 /**
- * Zipf-skewed traffic for the single-configuration ablations. Each op
- * is a memory access with probability memProb, else a 1-8 instruction
- * compute run. An access draws its item from a Zipfian over @p items
- * (item 0 hottest), its address inside the item from @p place, and
- * is a store with probability 0.3. All state is per-core (each core
- * owns its RNG stream), so tryNextOpLocal always succeeds and the
- * stream is identical under every kernel.
+ * Zipf-skewed traffic for the single-configuration ablations, on
+ * cfg.numCores cores. Each op is a memory access with probability
+ * memProb, else a 1-8 instruction compute run. An access draws its
+ * item from a Zipfian over @p items (item 0 hottest), its address
+ * inside the item from @p place, and is a store with probability 0.3.
+ * All state is per-core (each core owns its RNG stream), so
+ * tryNextOpLocal always succeeds and the stream is identical under
+ * every kernel.
  */
 class ZipfTraffic final : public WorkloadGenerator
 {
@@ -165,9 +123,18 @@ class ZipfTraffic final : public WorkloadGenerator
     /** The address of one access inside @p item; may draw from @p rng. */
     using Place = std::function<Addr(std::uint64_t item, Pcg32 &rng)>;
 
-    ZipfTraffic(const SimConfig &cfg, std::uint32_t cores,
-                std::uint64_t items, double theta, double memProb,
-                const char *name, Place place);
+    ZipfTraffic(const SimConfig &cfg, std::uint64_t items, double theta,
+                double memProb, const char *name, Place place);
+
+    /**
+     * A keyless runAll() point that runs this traffic under @p cfg. It
+     * is never cached, so it always simulates, and its generator
+     * factory holds copies of the arguments, so any worker thread may
+     * call it.
+     */
+    static ExperimentRunner::Point
+    point(const SimConfig &cfg, std::uint64_t items, double theta,
+          double memProb, const char *name, Place place);
 
     const char *name() const override { return name_; }
 

@@ -4,7 +4,7 @@
  * on the Table 2 baseline and prints the characteristics the study is
  * calibrated against (row-buffer hit rate, L2 MPKI, single-access
  * activation fraction, bandwidth utilization), next to the targets
- * read off the paper's figures (DESIGN.md section 6).
+ * read off the paper's figures (targetFor() below).
  *
  * Usage: characterize [--fast N]   (N divides the simulation windows)
  */
@@ -81,7 +81,8 @@ main(int argc, char **argv)
         table.addRow({workloadAcronym(id), TextTable::num(m.userIpc, 2),
                       TextTable::num(m.rowHitRatePct, 1),
                       TextTable::num(t.rowHit, 0),
-                      TextTable::num(m.l2Mpki, 1), TextTable::num(t.mpki, 0),
+                      TextTable::num(m.l2Mpki, 1),
+                      TextTable::num(t.mpki, 0),
                       TextTable::num(m.singleAccessPct, 1),
                       TextTable::num(t.single, 0),
                       TextTable::num(m.bwUtilPct, 1),

@@ -7,7 +7,7 @@
  * varies the NoC, so cloudmc models each traversal as a fixed latency
  * with unlimited bandwidth: a FIFO of (ready tick, payload) pairs.
  * Port contention would shift all configurations equally and is
- * deliberately left out (see DESIGN.md).
+ * deliberately left out.
  */
 
 #ifndef CLOUDMC_CPU_CROSSBAR_HH

@@ -147,9 +147,9 @@ class VaultRemapper
     std::uint32_t banks_;
     RemapConfig cfg_;
     TickSpan migrationTicks_;
-    std::vector<std::uint32_t> logToPhys_; ///< logical slot -> physical slot.
+    std::vector<std::uint32_t> logToPhys_; ///< Logical -> physical slot.
     std::vector<std::uint64_t> counts_;    ///< Accesses per logical slot.
-    std::vector<Tick> busyUntil_;          ///< Migration gate per phys slot.
+    std::vector<Tick> busyUntil_;          ///< Gate per physical slot.
     std::uint32_t windowLeft_ = 0;
     std::uint64_t migrations_ = 0;
     std::uint64_t migratedRows_ = 0;
@@ -217,7 +217,11 @@ class DramBackend final : public MemBackend
         return static_cast<std::uint32_t>(controllers_.size());
     }
 
-    MemController &queue(std::uint32_t i) override { return *controllers_[i]; }
+    MemController &
+    queue(std::uint32_t i) override
+    {
+        return *controllers_[i];
+    }
 
     void
     route(Request &req, Tick now) override

@@ -109,7 +109,11 @@ class MemController
     Tick tick(Tick now);
 
     /** Called for every completed request (reads and writes). */
-    void setCompletionCallback(CompletionFn fn) { onComplete_ = std::move(fn); }
+    void
+    setCompletionCallback(CompletionFn fn)
+    {
+        onComplete_ = std::move(fn);
+    }
 
     std::size_t readQueueLen() const { return readQ_.size(); }
     std::size_t writeQueueLen() const { return writeQ_.size(); }

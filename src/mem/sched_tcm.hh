@@ -24,7 +24,7 @@
  * rank, then row hits, then age. The original further weights the
  * shuffle by "niceness" (bank-level parallelism vs row locality);
  * that refinement is second-order for the studied workloads and is
- * documented as a simplification in DESIGN.md.
+ * left out here.
  */
 
 #ifndef CLOUDMC_MEM_SCHED_TCM_HH

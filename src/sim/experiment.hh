@@ -1,8 +1,8 @@
 /**
  * @file
  * Experiment harness: runs (workload, configuration) points and
- * memoizes the results in an on-disk CSV cache so the fourteen
- * per-figure bench binaries can share one set of simulations.
+ * memoizes the results in an on-disk CSV cache so every figure and
+ * bench program can share one set of simulations.
  *
  * Independent points can be executed concurrently through runAll():
  * simulations are deterministic and self-contained, so a batch runs on

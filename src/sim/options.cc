@@ -66,14 +66,7 @@ ExperimentOptions::parse(int argc, char **argv)
                 positional.push_back(arg);
         }
     }
-    const std::string err = finishSpec(spec);
-    if (!err.empty())
-        return err;
-    config = spec.base;
-    workload = spec.workloads.size() == 1 ? spec.workloads.front()
-                                          : WorkloadId::DS;
-    fairness = spec.fairness;
-    return {};
+    return finishSpec(spec);
 }
 
 std::string

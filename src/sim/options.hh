@@ -12,32 +12,23 @@
 #include <string>
 #include <vector>
 
-#include "sim_config.hh"
 #include "spec.hh"
-#include "workload/presets.hh"
 
 namespace mcsim {
 
 /** Parsed command line for an experiment-style tool. */
 struct ExperimentOptions
 {
-    /** The parsed spec's base: the configuration of a one-point
-     *  run. */
-    SimConfig config = SimConfig::baseline();
-    /** The spec's single workload, or DS when it names none. */
-    WorkloadId workload = WorkloadId::DS;
     bool csv = false;
-    /** Run alone-run baselines and report the slowdown/fairness
-     *  metrics (the spec's `fairness` key). */
-    bool fairness = false;
     /** Leftover positional arguments, in order. */
     std::vector<std::string> positional;
     /** Set when --help was requested; the caller should print usage. */
     bool helpRequested = false;
     /** Set when --list was requested; print listText() and exit. */
     bool listRequested = false;
-    /** Every flag and --config line, applied in order and finished;
-     *  the sweep to run when it has more than one point. */
+    /** Every flag and --config line, applied in order and finished:
+     *  its base is the configuration of a one-point run, points()
+     *  the sweep (workload DS when none is named). */
     ExperimentSpec spec;
     /** Set when a --config file was applied. */
     bool hasSpec = false;

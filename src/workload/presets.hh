@@ -6,8 +6,8 @@
  *
  * Each preset's region mixture is calibrated so the baseline system
  * (FR-FCFS, open-adaptive, 1 channel) reproduces the workload's
- * published characteristics; see DESIGN.md section 6 for targets and
- * EXPERIMENTS.md for measured values.
+ * published characteristics; examples/characterize.cpp prints the
+ * measured values next to those targets.
  */
 
 #ifndef CLOUDMC_WORKLOAD_PRESETS_HH

@@ -10,7 +10,7 @@
  * The presets in presets.hh are calibrated so the FR-FCFS / OAPM /
  * 1-channel baseline reproduces each workload's published row-buffer
  * hit rate, L2 MPKI, single-access activation fraction, and bandwidth
- * utilization (see DESIGN.md section 6 and EXPERIMENTS.md).
+ * utilization (examples/characterize.cpp prints both).
  */
 
 #ifndef CLOUDMC_WORKLOAD_SYNTHETIC_HH

@@ -295,8 +295,9 @@ TEST(KernelFuzzRepro, SpecStringReproducesTheDrawnConfig)
         ExperimentOptions opts;
         ASSERT_EQ(opts.parse(static_cast<int>(argv.size()), argv.data()),
                   "");
-        EXPECT_EQ(opts.workload, f.workload);
-        EXPECT_EQ(ExperimentRunner::configKey(opts.workload, opts.config),
+        ASSERT_EQ(opts.spec.workloads,
+                  std::vector<WorkloadId>{f.workload});
+        EXPECT_EQ(ExperimentRunner::configKey(f.workload, opts.spec.base),
                   want);
     }
 }

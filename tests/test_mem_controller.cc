@@ -25,7 +25,8 @@ struct Harness
     explicit Harness(SchedulerKind sched = SchedulerKind::FrFcfs,
                      PagePolicyKind policy = PagePolicyKind::OpenAdaptive,
                      bool refresh = true)
-        : geom(makeGeom()), channel(geom, DramTimings::ddr3_1600(), refresh),
+        : geom(makeGeom()),
+          channel(geom, DramTimings::ddr3_1600(), refresh),
           mc(channel, makeScheduler(sched, 16), makePagePolicy(policy), 16)
     {
         mc.setCompletionCallback(
@@ -255,7 +256,8 @@ TEST(MemController, DrainExitsAtLowWatermark)
     // Feed a slow trickle of reads so the read queue never stays empty
     // long enough for the idle-timeout drain to take over.
     int nextRead = 0;
-    while (h.mc.writeQueueLen() > 12 && h.now < Tick{} + kBaselineClocks.coreToTicks(200'000)) {
+    const Tick deadline = Tick{} + kBaselineClocks.coreToTicks(200'000);
+    while (h.mc.writeQueueLen() > 12 && h.now < deadline) {
         if (h.mc.readQueueLen() == 0) {
             h.mc.enqueue(
                 h.makeReq(addrOf(300 + nextRead, nextRead % 8, 0), false),

@@ -20,6 +20,8 @@ using namespace mcsim;
 
 namespace {
 
+using Workloads = std::vector<WorkloadId>;
+
 /** Run parse() over a list of string arguments. */
 std::string
 parseArgs(ExperimentOptions &opts, std::vector<std::string> args)
@@ -37,10 +39,11 @@ TEST(Options, DefaultsMatchBaseline)
 {
     ExperimentOptions opts;
     EXPECT_EQ(parseArgs(opts, {}), "");
-    EXPECT_EQ(opts.workload, WorkloadId::DS);
-    EXPECT_EQ(opts.config.scheduler, SchedulerKind::FrFcfs);
-    EXPECT_EQ(opts.config.pagePolicy, PagePolicyKind::OpenAdaptive);
-    EXPECT_EQ(opts.config.dram.channels, 1u);
+    ASSERT_EQ(opts.spec.points().size(), 1u);
+    EXPECT_EQ(opts.spec.points()[0].workload, WorkloadId::DS);
+    EXPECT_EQ(opts.spec.base.scheduler, SchedulerKind::FrFcfs);
+    EXPECT_EQ(opts.spec.base.pagePolicy, PagePolicyKind::OpenAdaptive);
+    EXPECT_EQ(opts.spec.base.dram.channels, 1u);
     EXPECT_FALSE(opts.csv);
     EXPECT_FALSE(opts.helpRequested);
 }
@@ -54,14 +57,14 @@ TEST(Options, ParsesFullConfiguration)
                "--warmup", "123000", "--measure", "456000", "--seed",
                "42", "--csv"});
     EXPECT_EQ(err, "");
-    EXPECT_EQ(opts.workload, WorkloadId::TPCHQ6);
-    EXPECT_EQ(opts.config.scheduler, SchedulerKind::Tcm);
-    EXPECT_EQ(opts.config.pagePolicy, PagePolicyKind::History);
-    EXPECT_EQ(opts.config.mapping, MappingScheme::PermBaXor);
-    EXPECT_EQ(opts.config.dram.channels, 4u);
-    EXPECT_EQ(opts.config.warmupCoreCycles, 123'000u);
-    EXPECT_EQ(opts.config.measureCoreCycles, 456'000u);
-    EXPECT_EQ(opts.config.seed, 42u);
+    EXPECT_EQ(opts.spec.workloads, Workloads{WorkloadId::TPCHQ6});
+    EXPECT_EQ(opts.spec.base.scheduler, SchedulerKind::Tcm);
+    EXPECT_EQ(opts.spec.base.pagePolicy, PagePolicyKind::History);
+    EXPECT_EQ(opts.spec.base.mapping, MappingScheme::PermBaXor);
+    EXPECT_EQ(opts.spec.base.dram.channels, 4u);
+    EXPECT_EQ(opts.spec.base.warmupCoreCycles, 123'000u);
+    EXPECT_EQ(opts.spec.base.measureCoreCycles, 456'000u);
+    EXPECT_EQ(opts.spec.base.seed, 42u);
     EXPECT_TRUE(opts.csv);
 }
 
@@ -69,7 +72,7 @@ TEST(Options, BareAcronymSelectsWorkload)
 {
     ExperimentOptions opts;
     EXPECT_EQ(parseArgs(opts, {"WSPEC99"}), "");
-    EXPECT_EQ(opts.workload, WorkloadId::WSPEC99);
+    EXPECT_EQ(opts.spec.workloads, Workloads{WorkloadId::WSPEC99});
     EXPECT_TRUE(opts.positional.empty());
 }
 
@@ -87,7 +90,7 @@ TEST(Options, EveryNameTableRoundtrips)
         ExperimentOptions opts;
         EXPECT_EQ(parseArgs(opts, {"--workload", workloadAcronym(w)}),
                   "");
-        EXPECT_EQ(opts.workload, w);
+        EXPECT_EQ(opts.spec.workloads, Workloads{w});
     }
     for (auto k : {SchedulerKind::FrFcfs, SchedulerKind::FcfsBanks,
                    SchedulerKind::ParBs, SchedulerKind::Atlas,
@@ -96,13 +99,13 @@ TEST(Options, EveryNameTableRoundtrips)
         ExperimentOptions opts;
         EXPECT_EQ(parseArgs(opts, {"--scheduler", schedulerKindName(k)}),
                   "");
-        EXPECT_EQ(opts.config.scheduler, k);
+        EXPECT_EQ(opts.spec.base.scheduler, k);
     }
     for (auto s : kExtendedMappingSchemes) {
         ExperimentOptions opts;
         EXPECT_EQ(parseArgs(opts, {"--mapping", mappingSchemeName(s)}),
                   "");
-        EXPECT_EQ(opts.config.mapping, s);
+        EXPECT_EQ(opts.spec.base.mapping, s);
     }
 }
 
@@ -136,30 +139,30 @@ TEST(Options, RejectsMissingValues)
 TEST(Options, FastDividesWindows)
 {
     ExperimentOptions opts;
-    const auto warm = opts.config.warmupCoreCycles;
-    const auto meas = opts.config.measureCoreCycles;
+    const auto warm = opts.spec.base.warmupCoreCycles;
+    const auto meas = opts.spec.base.measureCoreCycles;
     EXPECT_EQ(parseArgs(opts, {"--fast", "4"}), "");
-    EXPECT_EQ(opts.config.warmupCoreCycles, warm / 4);
-    EXPECT_EQ(opts.config.measureCoreCycles, meas / 4);
+    EXPECT_EQ(opts.spec.base.warmupCoreCycles, warm / 4);
+    EXPECT_EQ(opts.spec.base.measureCoreCycles, meas / 4);
 }
 
 TEST(Options, FastClampsMeasureFloor)
 {
     ExperimentOptions opts;
     EXPECT_EQ(parseArgs(opts, {"--fast", "1000000"}), "");
-    EXPECT_EQ(opts.config.measureCoreCycles, 100'000u);
+    EXPECT_EQ(opts.spec.base.measureCoreCycles, 100'000u);
 
     // Divisor 1 divides nothing, so it floors nothing either.
     ExperimentOptions one;
     EXPECT_EQ(parseArgs(one, {"--measure", "50000", "--fast", "1"}), "");
-    EXPECT_EQ(one.config.measureCoreCycles, 50'000u);
+    EXPECT_EQ(one.spec.base.measureCoreCycles, 50'000u);
 }
 
 TEST(Options, FairnessFlagPropagatesToSpec)
 {
     ExperimentOptions opts;
     EXPECT_EQ(parseArgs(opts, {"--fairness"}), "");
-    EXPECT_TRUE(opts.fairness);
+    EXPECT_TRUE(opts.spec.fairness);
 
     // --fairness before --config marks the loaded sweep too.
     const std::string path =
@@ -170,7 +173,6 @@ TEST(Options, FairnessFlagPropagatesToSpec)
     }
     ExperimentOptions before;
     EXPECT_EQ(parseArgs(before, {"--fairness", "--config", path}), "");
-    EXPECT_TRUE(before.fairness);
     EXPECT_TRUE(before.spec.fairness);
 
     // A spec with `fairness = on` turns the option on as well.
@@ -180,7 +182,6 @@ TEST(Options, FairnessFlagPropagatesToSpec)
     }
     ExperimentOptions fromSpec;
     EXPECT_EQ(parseArgs(fromSpec, {"--config", path}), "");
-    EXPECT_TRUE(fromSpec.fairness);
     EXPECT_TRUE(fromSpec.spec.fairness);
     std::remove(path.c_str());
 }
@@ -226,10 +227,10 @@ TEST(Options, DeviceFlagAppliesRegistryEntry)
     EXPECT_EQ(parseArgs(opts, {"--device", "DDR4-2400", "--channels",
                                "2"}),
               "");
-    EXPECT_EQ(opts.config.deviceName, "DDR4-2400");
-    EXPECT_EQ(opts.config.clocks.dramMhz, 1200u);
-    EXPECT_EQ(opts.config.dram.channels, 2u);
-    EXPECT_EQ(opts.config.dram.banksPerRank, 16u);
+    EXPECT_EQ(opts.spec.base.deviceName, "DDR4-2400");
+    EXPECT_EQ(opts.spec.base.clocks.dramMhz, 1200u);
+    EXPECT_EQ(opts.spec.base.dram.channels, 2u);
+    EXPECT_EQ(opts.spec.base.dram.banksPerRank, 16u);
 
     ExperimentOptions bad;
     EXPECT_NE(parseArgs(bad, {"--device", "SDRAM-133"}), "");
@@ -250,8 +251,8 @@ TEST(Options, ConfigFlagLoadsASpec)
     EXPECT_EQ(parseArgs(opts, {"--config", path}), "");
     EXPECT_TRUE(opts.hasSpec);
     EXPECT_EQ(opts.spec.pointCount(), 2u);
-    EXPECT_EQ(opts.workload, WorkloadId::WS);
-    EXPECT_EQ(opts.config.seed, 11u); // Scalars merge into config.
+    EXPECT_EQ(opts.spec.workloads, Workloads{WorkloadId::WS});
+    EXPECT_EQ(opts.spec.base.seed, 11u); // Scalars merge into config.
 
     ExperimentOptions missing;
     const std::string err =
@@ -298,14 +299,14 @@ TEST(Options, BackendFlagSelectsStackedPart)
     EXPECT_EQ(parseArgs(opts, {"--backend", "stacked", "--vaults", "8",
                                "--remap", "on"}),
               "");
-    EXPECT_EQ(opts.config.deviceName, "HMC2-8GB");
-    EXPECT_EQ(opts.config.dram.vaultsPerStack, 8u);
-    EXPECT_TRUE(opts.config.remap.enabled);
+    EXPECT_EQ(opts.spec.base.deviceName, "HMC2-8GB");
+    EXPECT_EQ(opts.spec.base.dram.vaultsPerStack, 8u);
+    EXPECT_TRUE(opts.spec.base.remap.enabled);
 
     // --backend flat on the (flat) baseline is a no-op.
     ExperimentOptions flat;
     EXPECT_EQ(parseArgs(flat, {"--backend", "flat"}), "");
-    EXPECT_EQ(flat.config.dram.vaultsPerStack, 0u);
+    EXPECT_EQ(flat.spec.base.dram.vaultsPerStack, 0u);
 }
 
 TEST(Options, StackedOnlyFlagsAreNamedErrorsOnFlat)
@@ -356,9 +357,9 @@ TEST(Options, FlagsBeforeConfigAreKept)
     EXPECT_EQ(parseArgs(opts, {"--seed", "5", "--channels", "2",
                                "--config", path}),
               "");
-    EXPECT_EQ(opts.config.seed, 5u);
-    EXPECT_EQ(opts.config.dram.channels, 2u);
-    EXPECT_EQ(opts.workload, WorkloadId::WS);
+    EXPECT_EQ(opts.spec.base.seed, 5u);
+    EXPECT_EQ(opts.spec.base.dram.channels, 2u);
+    EXPECT_EQ(opts.spec.workloads, Workloads{WorkloadId::WS});
     ASSERT_EQ(opts.spec.points().size(), 1u);
     EXPECT_EQ(opts.spec.points()[0].cfg.seed, 5u);
     EXPECT_EQ(opts.spec.points()[0].cfg.dram.channels, 2u);
@@ -381,14 +382,14 @@ TEST(Options, ScopeChecksIgnoreFlagOrder)
     ExperimentOptions opts;
     EXPECT_EQ(parseArgs(opts, {"--tier-latency", "64", "--tier", "on"}),
               "");
-    EXPECT_TRUE(opts.config.tier.enabled);
-    EXPECT_EQ(opts.config.tier.slowLatencyDramCycles, 64u);
+    EXPECT_TRUE(opts.spec.base.tier.enabled);
+    EXPECT_EQ(opts.spec.base.tier.slowLatencyDramCycles, 64u);
 
     ExperimentOptions stacked;
     EXPECT_EQ(parseArgs(stacked, {"--vaults", "8", "--device",
                                   "HMC2-8GB"}),
               "");
-    EXPECT_EQ(stacked.config.dram.vaultsPerStack, 8u);
+    EXPECT_EQ(stacked.spec.base.dram.vaultsPerStack, 8u);
 }
 
 TEST(Options, EverySpecKeyIsAFlagInUsage)
@@ -417,11 +418,10 @@ TEST(Options, FairnessFlagTakesAnOptionalValue)
 {
     ExperimentOptions on;
     EXPECT_EQ(parseArgs(on, {"--fairness", "WS"}), "");
-    EXPECT_TRUE(on.fairness);
-    EXPECT_EQ(on.workload, WorkloadId::WS);
+    EXPECT_TRUE(on.spec.fairness);
+    EXPECT_EQ(on.spec.workloads, Workloads{WorkloadId::WS});
 
     ExperimentOptions off;
     EXPECT_EQ(parseArgs(off, {"--fairness", "--fairness", "off"}), "");
-    EXPECT_FALSE(off.fairness);
     EXPECT_FALSE(off.spec.fairness);
 }

@@ -68,13 +68,13 @@ TEST(Timer, ClosesAfterIdleInterval)
 {
     TimerPolicy p(10); // 10 DRAM cycles.
     const Tick last{1000};
-    EXPECT_FALSE(p.shouldClose(
-        query(1, false, false, 7, last + kBaselineClocks.dramToTicks(5), last)));
-    EXPECT_TRUE(p.shouldClose(
-        query(1, false, false, 7, last + kBaselineClocks.dramToTicks(10), last)));
+    const auto at = [&](std::uint64_t dramCycles) {
+        return last + kBaselineClocks.dramToTicks(dramCycles);
+    };
+    EXPECT_FALSE(p.shouldClose(query(1, false, false, 7, at(5), last)));
+    EXPECT_TRUE(p.shouldClose(query(1, false, false, 7, at(10), last)));
     // A pending hit always holds the row open.
-    EXPECT_FALSE(p.shouldClose(
-        query(1, true, false, 7, last + kBaselineClocks.dramToTicks(100), last)));
+    EXPECT_FALSE(p.shouldClose(query(1, true, false, 7, at(100), last)));
 }
 
 TEST(Rbpp, UntrackedRowBehavesOpenAdaptive)
