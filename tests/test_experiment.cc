@@ -863,6 +863,50 @@ TEST(ExperimentCache, GoldenRowsPinTieredOverStacked)
         << rows;
 }
 
+TEST(ExperimentCache, GoldenRowsPinSchedulerMatrix)
+{
+    // The pins above cover FR-FCFS and ATLAS only. This one pins the
+    // controller under every scheduler (RL drives the unified pool),
+    // every other page policy under FR-FCFS, and LPDDR3-1600, the one
+    // device that refreshes per bank (REFpb), so a controller change
+    // that moves any of them fails here.
+    FastEnvGuard guard;
+    const std::string path = tempCachePath("golden_sched_matrix");
+    std::remove(path.c_str());
+
+    std::vector<ExperimentRunner::Point> points;
+    for (const SchedulerKind kind : kAllSchedulers) {
+        SimConfig cfg = tinyConfig();
+        cfg.scheduler = kind;
+        points.push_back({WorkloadId::TPCHQ6, cfg});
+    }
+    for (const PagePolicyKind policy : kAllPagePolicies) {
+        if (policy == PagePolicyKind::OpenAdaptive)
+            continue; // The FR-FCFS point above.
+        SimConfig cfg = tinyConfig();
+        cfg.pagePolicy = policy;
+        points.push_back({WorkloadId::WS, cfg});
+    }
+    SimConfig lpddr3 = tinyConfig();
+    lpddr3.applyDevice(dramDeviceOrDie("LPDDR3-1600"));
+    points.push_back({WorkloadId::TPCHQ6, lpddr3});
+    {
+        ExperimentRunner runner(path);
+        (void)runner.runAll(points, 1);
+        ASSERT_EQ(runner.simulationsRun(), points.size());
+    }
+    const std::string rows = readFile(path);
+    std::remove(path.c_str());
+
+    const std::uint64_t h = fnv1a(rows);
+    constexpr std::uint64_t kGoldenRowsHash = 0x18011a3f5e2aa529ull;
+    EXPECT_EQ(h, kGoldenRowsHash)
+        << "results changed: bump kModelVersion (src/sim/experiment.hh) "
+           "and re-record kGoldenRowsHash as 0x"
+        << std::hex << h << "\nrows:\n"
+        << rows;
+}
+
 TEST(ExperimentWindows, UnsetFastKeepsAShortMeasureWindow)
 {
     // With CLOUDMC_FAST unset the runner keeps both windows as given,
