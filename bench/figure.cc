@@ -345,9 +345,13 @@ value(const Panel &p, const Series &s, const Series *base, WorkloadId wl)
 }
 
 /** One row per workload plus the three category averages (means of
- *  the printed values), one column per series. */
+ *  the printed values), one column per series. The title and metric
+ *  head the text table; in CSV they head it, as `# ` comment lines,
+ *  only when @p titleCsv is set (a figure of several panels), so a
+ *  single-panel CSV is the bare table. */
 void
-printFigure(const Panel &p, const std::vector<Series> &series, bool csv)
+printFigure(const Panel &p, const std::vector<Series> &series, bool csv,
+            bool titleCsv)
 {
     TextTable table;
     std::vector<std::string> header{"workload"};
@@ -381,8 +385,9 @@ printFigure(const Panel &p, const std::vector<Series> &series, bool csv)
         table.addRow(std::move(row));
     }
 
-    if (!csv) {
-        std::printf("%s\n%s%s\n", p.title,
+    if (!csv || titleCsv) {
+        const char *mark = csv ? "# " : "";
+        std::printf("%s%s\n%s%s%s\n", mark, p.title, mark,
                     p.normalize ? "(normalized to the first column) " : "",
                     p.metric);
     }
@@ -418,8 +423,10 @@ main(int argc, char **argv)
         if (!results.count(p.study))
             results[p.study] = p.study(runner);
     }
-    for (const Panel &p : figure->panels)
-        printFigure(p, results.at(p.study), csv);
+    for (const Panel &p : figure->panels) {
+        printFigure(p, results.at(p.study), csv,
+                    figure->panels.size() > 1);
+    }
     std::fprintf(stderr, "[bench] %llu simulations run, %llu from cache\n",
                  static_cast<unsigned long long>(runner.simulationsRun()),
                  static_cast<unsigned long long>(runner.cacheHits()));

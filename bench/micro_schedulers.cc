@@ -3,7 +3,8 @@
  * google-benchmark microbenchmarks of per-cycle scheduler decision
  * cost. The paper argues FR-FCFS's simplicity is a feature; this
  * bench quantifies the software-model analogue: how expensive one
- * choose() call is for each policy as the candidate pool grows.
+ * choose() call is for each policy as the pool grows (half of it
+ * issuable, offered as candidates in pool order).
  */
 
 #include <benchmark/benchmark.h>
@@ -18,12 +19,20 @@ using namespace mcsim;
 
 namespace {
 
-/** Build a deterministic candidate pool of the given size. */
-std::pair<std::vector<Candidate>, std::vector<std::unique_ptr<Request>>>
-makePool(std::size_t n)
+/** A deterministic pool of requests in queue order, and the issuable
+ *  half of it as candidates, the way MemController offers them. */
+struct Pool
 {
     std::vector<std::unique_ptr<Request>> storage;
+    std::vector<Request *> queue;
     std::vector<Candidate> cands;
+    std::size_t pendingHits = 0;
+};
+
+Pool
+makePool(std::size_t n)
+{
+    Pool pool;
     for (std::size_t i = 0; i < n; ++i) {
         auto req = std::make_unique<Request>();
         req->id = i;
@@ -34,28 +43,33 @@ makePool(std::size_t n)
         req->bankIndex = req->coord.rank * 8 + req->coord.bank;
         req->coord.row = i * 97 % 4096;
         req->isWrite = i % 4 == 0;
+        req->seq = static_cast<std::uint32_t>(i);
         Candidate c;
         c.req = req.get();
         c.cmd = i % 3 == 0 ? DramCommandType::Read
                            : DramCommandType::Activate;
         c.isRowHit = i % 3 == 0;
-        c.issuableNow = i % 2 == 0;
-        storage.push_back(std::move(req));
-        cands.push_back(c);
+        pool.pendingHits += c.isRowHit;
+        if (i % 2 == 0)
+            pool.cands.push_back(c);
+        pool.queue.push_back(req.get());
+        pool.storage.push_back(std::move(req));
     }
-    return {std::move(cands), std::move(storage)};
+    return pool;
 }
 
 void
 schedulerChoose(benchmark::State &state, SchedulerKind kind)
 {
     auto scheduler = makeScheduler(kind, 16);
-    auto [cands, storage] = makePool(state.range(0));
+    const Pool pool = makePool(state.range(0));
     SchedulerContext ctx;
-    ctx.readQueueLen = cands.size();
+    ctx.readQueueLen = pool.queue.size();
+    ctx.pool = PoolView(pool.queue);
+    ctx.pendingHits = pool.pendingHits;
     Tick now{100000};
     for (auto _ : state) {
-        benchmark::DoNotOptimize(scheduler->choose(cands, now, ctx));
+        benchmark::DoNotOptimize(scheduler->choose(pool.cands, now, ctx));
         now += kBaselineClocks.ticksPerDram;
     }
 }

@@ -38,6 +38,14 @@ ceilLog2(std::uint64_t v)
     return isPowerOf2(v) ? floorLog2(v) : floorLog2(v) + 1;
 }
 
+/** Index of the lowest set bit of @p v; v must be non-zero. Walking a
+ *  mask with `m &= m - 1` visits its bits in ascending order. */
+inline unsigned
+lowestSetBit(std::uint64_t v)
+{
+    return static_cast<unsigned>(__builtin_ctzll(v));
+}
+
 /** Extract @p width bits of @p value starting at bit @p lsb. */
 constexpr std::uint64_t
 extractBits(std::uint64_t value, unsigned lsb, unsigned width)

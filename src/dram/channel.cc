@@ -1,8 +1,19 @@
 #include "channel.hh"
 
+#include "common/bitutils.hh"
 #include "common/log.hh"
 
 namespace mcsim {
+
+namespace {
+
+Tick
+maxT(Tick a, Tick b)
+{
+    return a > b ? a : b;
+}
+
+} // namespace
 
 const char *
 dramCommandName(DramCommandType t)
@@ -27,6 +38,13 @@ Channel::Channel(const DramGeometry &geom, const DramTimings &timings,
     ranks_.reserve(geom_.ranksPerChannel);
     for (std::uint32_t r = 0; r < geom_.ranksPerChannel; ++r)
         ranks_.emplace_back(geom_.banksPerRank, geom_.bankGroupsPerRank);
+    for (std::uint32_t bi = 0;
+         bi < geom_.ranksPerChannel * geom_.banksPerRank; ++bi) {
+        BankSlot &s = slots_[bi];
+        s.rank = static_cast<std::uint8_t>(bi / geom_.banksPerRank);
+        s.bank = static_cast<std::uint8_t>(bi % geom_.banksPerRank);
+        s.group = static_cast<std::uint8_t>(geom_.bankGroupOf(s.bank));
+    }
     rankOpenBanks_.assign(geom_.ranksPerChannel, 0);
     rankActiveSince_.assign(geom_.ranksPerChannel, Tick{});
     if (enableRefresh) {
@@ -123,6 +141,7 @@ Channel::issue(const DramCommand &cmd, Tick now)
 
     Rank &rk = ranks_[cmd.rank];
     IssueResult res;
+    ++issued_;
     cmdBusFreeAt_ = now + dct(1);
 
     const auto onCas = [this, &cmd, &rk](Tick at) {
@@ -143,6 +162,7 @@ Channel::issue(const DramCommand &cmd, Tick now)
                                    dct(tm_.tRC));
         rk.activated(now, dct(tm_.tRRD), dct(tm_.tRRDL),
                      dct(tm_.tFAW), groupOf(cmd));
+        openBanks_ |= 1ull << (cmd.rank * geom_.banksPerRank + cmd.bank);
         if (rankOpenBanks_[cmd.rank]++ == 0)
             rankActiveSince_[cmd.rank] = now;
         ++stats_.activates;
@@ -191,6 +211,7 @@ Channel::issue(const DramCommand &cmd, Tick now)
 
       case DramCommandType::Precharge:
         rk.bank(cmd.bank).precharge(now, dct(tm_.tRP));
+        openBanks_ &= ~(1ull << (cmd.rank * geom_.banksPerRank + cmd.bank));
         mc_assert(rankOpenBanks_[cmd.rank] > 0, "PRE with no open bank");
         if (--rankOpenBanks_[cmd.rank] == 0) {
             stats_.rankActiveTicks +=
@@ -234,71 +255,103 @@ Channel::nextRefreshDueAt() const
     return due;
 }
 
+Channel::RankFloors
+Channel::rankFloors(std::uint32_t rank) const
+{
+    // Data-bus availability: dataStart(t) = t + CAS lead must be at or
+    // past the (rank-switch adjusted) bus-free tick.
+    Tick busFree = dataBusFreeAt_;
+    if (lastDataRank_ >= 0 && lastDataRank_ != static_cast<int>(rank))
+        busFree += dct(tm_.tCS);
+    const auto dataFloor = [busFree](TickSpan lead) {
+        return busFree - Tick{} > lead ? busFree - lead : Tick{};
+    };
+    return {cmdBusFreeAt_,
+            maxT(maxT(cmdBusFreeAt_, nextRdAt_), dataFloor(ticksRd())),
+            maxT(maxT(cmdBusFreeAt_, nextWrAt_), dataFloor(ticksWr()))};
+}
+
+BankLegality
+Channel::legalityOf(const RankFloors &floors, const Rank &rk,
+                    const BankSlot &s) const
+{
+    const Bank &bk = rk.bank(s.bank);
+    if (!bk.isOpen()) {
+        return {maxT(floors.cmd,
+                     maxT(bk.actAllowedAt(), rk.actAllowedAt(s.group))),
+                kMaxTick, kMaxTick, Bank::kNoRow};
+    }
+    const Tick cas = rk.casAllowedAt(s.group); // tCCD_L floor.
+    return {maxT(floors.cmd, bk.preAllowedAt()),
+            maxT(maxT(floors.rd, cas),
+                 maxT(bk.rdAllowedAt(), rk.rdAllowedAt(s.group))),
+            maxT(maxT(floors.wr, cas), bk.wrAllowedAt()), bk.openRow()};
+}
+
+void
+Channel::bankLegality(std::uint64_t bankMask, BankLegality *out) const
+{
+    // Bank indices ascend rank-major, so each rank's floors are
+    // computed once.
+    int rank = -1;
+    RankFloors floors{};
+    for (; bankMask; bankMask &= bankMask - 1) {
+        const unsigned bi = lowestSetBit(bankMask);
+        const BankSlot &s = slots_[bi];
+        if (s.rank != rank) {
+            rank = s.rank;
+            floors = rankFloors(s.rank);
+        }
+        out[bi] = legalityOf(floors, ranks_[s.rank], s);
+    }
+}
+
 Tick
 Channel::nextLegalAt(const DramCommand &cmd, Tick now) const
 {
-    // Mirrors canIssue() constraint for constraint; keep the two in
-    // sync (test_event_kernel cross-checks them).
-    const auto maxT = [](Tick a, Tick b) { return a > b ? a : b; };
-    Tick t = cmdBusFreeAt_;
+    // The threshold form of canIssue(): every rule is a "now >= t"
+    // comparison, so the legal tick is the largest t (test_event_kernel
+    // cross-checks the two, and bankLegality() against both).
     const Rank &rk = ranks_[cmd.rank];
-
-    switch (cmd.type) {
-      case DramCommandType::Activate: {
-        const Bank &bk = rk.bank(cmd.bank);
-        if (bk.isOpen())
-            return kMaxTick;
-        t = maxT(t, maxT(bk.actAllowedAt(),
-                         rk.actAllowedAt(groupOf(cmd))));
-        break;
-      }
-      case DramCommandType::Read:
-      case DramCommandType::Write: {
-        const bool isRead = cmd.type == DramCommandType::Read;
-        const Bank &bk = rk.bank(cmd.bank);
-        if (!bk.isOpen() || bk.openRow() != cmd.row)
-            return kMaxTick;
-        const std::uint32_t group = groupOf(cmd);
-        t = maxT(t, rk.casAllowedAt(group)); // tCCD_L floor.
-        if (isRead) {
-            t = maxT(t, maxT(bk.rdAllowedAt(), rk.rdAllowedAt(group)));
-            t = maxT(t, nextRdAt_);
-        } else {
-            t = maxT(t, maxT(bk.wrAllowedAt(), nextWrAt_));
-        }
-        // Data-bus availability: dataStart(t) = t + CAS lead must be
-        // at or past the (rank-switch adjusted) bus-free tick.
-        Tick busFree = dataBusFreeAt_;
-        if (lastDataRank_ >= 0 &&
-            lastDataRank_ != static_cast<int>(cmd.rank)) {
-            busFree += dct(tm_.tCS);
-        }
-        const TickSpan lead = isRead ? ticksRd() : ticksWr();
-        if (busFree - Tick{} > lead)
-            t = maxT(t, busFree - lead);
-        break;
-      }
-      case DramCommandType::Precharge: {
-        const Bank &bk = rk.bank(cmd.bank);
-        if (!bk.isOpen())
-            return kMaxTick;
-        t = maxT(t, bk.preAllowedAt());
-        break;
-      }
-      case DramCommandType::Refresh: {
+    Tick t;
+    if (cmd.type == DramCommandType::Refresh) {
+        t = cmdBusFreeAt_;
         if (tm_.perBankRefresh) {
             const Bank &bk = rk.bank(cmd.bank);
             if (bk.isOpen())
                 return kMaxTick;
             t = maxT(t, bk.actAllowedAt());
-            break;
+        } else {
+            if (!rk.allBanksClosed())
+                return kMaxTick;
+            for (std::uint32_t b = 0; b < rk.numBanks(); ++b)
+                t = maxT(t, rk.bank(b).actAllowedAt());
         }
-        if (!rk.allBanksClosed())
+        return maxT(t, now);
+    }
+
+    // A command the bank's state rules out needs a state change first.
+    const Bank &bk = rk.bank(cmd.bank);
+    switch (cmd.type) {
+      case DramCommandType::Activate:
+        if (bk.isOpen())
             return kMaxTick;
-        for (std::uint32_t b = 0; b < rk.numBanks(); ++b)
-            t = maxT(t, rk.bank(b).actAllowedAt());
         break;
-      }
+      case DramCommandType::Precharge:
+        if (!bk.isOpen())
+            return kMaxTick;
+        break;
+      default:
+        if (!bk.isOpen() || bk.openRow() != cmd.row)
+            return kMaxTick;
+        break;
+    }
+    const BankLegality l =
+        legalityOf(rankFloors(cmd.rank), rk, slots_[cmd.bank]);
+    switch (cmd.type) {
+      case DramCommandType::Read: t = l.rd; break;
+      case DramCommandType::Write: t = l.wr; break;
+      default: t = l.actPre; break;
     }
     return maxT(t, now);
 }

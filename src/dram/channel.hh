@@ -30,6 +30,7 @@
 #ifndef CLOUDMC_DRAM_CHANNEL_HH
 #define CLOUDMC_DRAM_CHANNEL_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -48,6 +49,26 @@ struct IssueResult
     /** For Read: tick at which the last data beat is on the bus (the
      *  request's data is complete). Zero for non-read commands. */
     Tick dataReadyAt;
+};
+
+/**
+ * The earliest tick each command a bank can take next becomes legal,
+ * assuming no further command issues (see Channel::bankLegality()).
+ */
+struct BankLegality
+{
+    Tick actPre; ///< ACT while the bank is closed, PRE while it is open.
+    Tick rd;     ///< RD to the open row; kMaxTick while closed.
+    Tick wr;     ///< WR to the open row; kMaxTick while closed.
+    std::uint64_t row; ///< The open row; Bank::kNoRow while closed.
+};
+
+/** Where a bank index (rank * banksPerRank + bank) sits. */
+struct BankSlot
+{
+    std::uint8_t rank = 0;
+    std::uint8_t bank = 0;  ///< Bank within the rank.
+    std::uint8_t group = 0; ///< Bank group within the rank.
 };
 
 /** Channel statistics (reset with resetStats()). */
@@ -118,6 +139,20 @@ class Channel
         return ranks_[rank].bank(bankIdx);
     }
 
+    /** Rank, bank and group of bank index @p bankIndex, from a table
+     *  built at construction (no division on the hot path). */
+    const BankSlot &slot(std::uint32_t bankIndex) const
+    {
+        return slots_[bankIndex];
+    }
+
+    /** Bit rank * banksPerRank + bank set for every open bank. */
+    std::uint64_t openBankMask() const { return openBanks_; }
+
+    /** Commands issued so far. Legality depends on nothing else, so
+     *  a legal tick computed at one count holds until it moves. */
+    std::uint64_t issueCount() const { return issued_; }
+
     Rank &rank(std::uint32_t r) { return ranks_[r]; }
     const Rank &rank(std::uint32_t r) const { return ranks_[r]; }
     std::uint32_t numRanks() const
@@ -146,6 +181,16 @@ class Channel
      * idle-skip window cannot happen.
      */
     Tick nextLegalAt(const DramCommand &cmd, Tick now) const;
+
+    /**
+     * For every bank index set in @p bankMask, the legal ticks of the
+     * commands that bank can take next, into out[bankIndex] (the
+     * other entries are left alone). Without the clamp to now, so for
+     * ACT, PRE, RD and WR nextLegalAt(cmd, now) is max(now, the
+     * matching field): both read the same rules. The channel and rank
+     * terms are computed once per rank, not once per bank.
+     */
+    void bankLegality(std::uint64_t bankMask, BankLegality *out) const;
 
     ChannelStats &stats() { return stats_; }
     const ChannelStats &stats() const { return stats_; }
@@ -179,13 +224,34 @@ class Channel
     /** Bank group of a command's bank (geometry convention). */
     std::uint32_t groupOf(const DramCommand &cmd) const
     {
-        return geom_.bankGroupOf(cmd.bank);
+        return slots_[cmd.bank].group;
     }
+
+    /** The channel- and rank-wide floors of one rank's bank commands:
+     *  the command bus, tCCD_S/tRTW spacing and the data bus (with
+     *  the tCS rank-switch gap). */
+    struct RankFloors
+    {
+        Tick cmd;
+        Tick rd;
+        Tick wr;
+    };
+    RankFloors rankFloors(std::uint32_t rank) const;
+
+    /** The one copy of the bank-command rules behind nextLegalAt()
+     *  and bankLegality(). */
+    BankLegality legalityOf(const RankFloors &floors, const Rank &rk,
+                            const BankSlot &s) const;
 
     DramGeometry geom_;
     DramTimings tm_;
     ClockDomains clk_;
     std::vector<Rank> ranks_;
+    /** Indexed by bank index; the first banksPerRank entries double
+     *  as the group table of a bank within any rank. */
+    std::array<BankSlot, kMaxBanksPerChannel> slots_{};
+    std::uint64_t openBanks_ = 0; ///< See openBankMask().
+    std::uint64_t issued_ = 0;    ///< See issueCount().
 
     Tick cmdBusFreeAt_;  ///< One command per tCK.
     Tick nextRdAt_;      ///< tCCD_S spacing between reads.

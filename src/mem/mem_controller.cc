@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/bitutils.hh"
 #include "common/log.hh"
 
 namespace mcsim {
@@ -63,7 +64,117 @@ MemController::enqueue(Request *req, Tick now)
         stats_.writeQueueLen.update(now,
                                     static_cast<double>(writeQ_.size()));
     }
+    req->seq = nextSeq_++;
+    indexInsert(req);
     scheduler_->onRequestArrived(*req);
+}
+
+void
+MemController::indexInsert(Request *req)
+{
+    BankIndex &ix = index_[req->isWrite ? kWrite : kRead];
+    const std::uint32_t bi = req->bankIndex;
+    const std::uint64_t bit = 1ull << bi;
+    ix.reqs[bi].push_back(req);
+    ix.banks |= bit;
+    const Bank &bank = channel_.bank(req->coord.rank, req->coord.bank);
+    if (bank.isOpen() && bank.openRow() == req->coord.row) {
+        ++ix.hits[bi];
+        ++ix.totalHits;
+    }
+    if (req->availableAt > req->arrivedAt) {
+        ++ix.gated[bi];
+        ix.gatedBanks |= bit;
+    }
+}
+
+void
+MemController::indexRemove(Request *req)
+{
+    BankIndex &ix = index_[req->isWrite ? kWrite : kRead];
+    const std::uint32_t bi = req->bankIndex;
+    const std::uint64_t bit = 1ull << bi;
+    std::vector<Request *> &reqs = ix.reqs[bi];
+    removeFromQueue(reqs, req);
+    if (reqs.empty())
+        ix.banks &= ~bit;
+    const Bank &bank = channel_.bank(req->coord.rank, req->coord.bank);
+    if (bank.isOpen() && bank.openRow() == req->coord.row) {
+        --ix.hits[bi];
+        --ix.totalHits;
+    }
+    if (req->availableAt > req->arrivedAt && --ix.gated[bi] == 0)
+        ix.gatedBanks &= ~bit;
+}
+
+void
+MemController::indexActivate(std::uint32_t bankIndex, std::uint64_t row)
+{
+    // The bank was closed, so its hit counts were 0.
+    for (BankIndex &ix : index_) {
+        std::uint32_t n = 0;
+        for (const Request *req : ix.reqs[bankIndex])
+            n += req->coord.row == row;
+        ix.hits[bankIndex] = n;
+        ix.totalHits += n;
+    }
+}
+
+std::string
+MemController::indexMismatch() const
+{
+    for (const std::uint32_t q : {kRead, kWrite}) {
+        const std::vector<Request *> &queue =
+            q == kWrite ? writeQ_ : readQ_;
+        const BankIndex &ix = index_[q];
+        const std::string name = q == kWrite ? "write queue" : "read queue";
+        BankIndex fresh;
+        for (std::size_t i = 0; i < queue.size(); ++i) {
+            const Request *req = queue[i];
+            if (i > 0 && (req->arrivedAt < queue[i - 1]->arrivedAt ||
+                          static_cast<std::int32_t>(
+                              req->seq - queue[i - 1]->seq) <= 0)) {
+                return name + ": out of arrival order at position " +
+                       std::to_string(i);
+            }
+            const std::uint32_t bi = req->bankIndex;
+            fresh.reqs[bi].push_back(queue[i]);
+            fresh.banks |= 1ull << bi;
+            const Bank &bank =
+                channel_.bank(req->coord.rank, req->coord.bank);
+            if (bank.isOpen() && bank.openRow() == req->coord.row) {
+                ++fresh.hits[bi];
+                ++fresh.totalHits;
+            }
+            if (req->availableAt > req->arrivedAt) {
+                ++fresh.gated[bi];
+                fresh.gatedBanks |= 1ull << bi;
+            }
+        }
+        if (ix.banks != fresh.banks)
+            return name + ": bank mask differs";
+        if (ix.gatedBanks != fresh.gatedBanks)
+            return name + ": gated-bank mask differs";
+        if (ix.totalHits != fresh.totalHits)
+            return name + ": total hit count differs";
+        for (std::uint32_t bi = 0; bi < kMaxBanksPerChannel; ++bi) {
+            const std::string where = name + ", bank " + std::to_string(bi);
+            if (ix.reqs[bi] != fresh.reqs[bi])
+                return where + ": members or their order differ";
+            if (ix.hits[bi] != fresh.hits[bi])
+                return where + ": open-row hit count differs";
+            if (ix.gated[bi] != fresh.gated[bi])
+                return where + ": gated count differs";
+        }
+    }
+    const std::uint32_t banks = channel_.numRanks() * banksPerRank_;
+    for (std::uint32_t bi = 0; bi < banks; ++bi) {
+        const BankSlot &s = channel_.slot(bi);
+        const bool open = (channel_.openBankMask() >> bi) & 1;
+        if (open != channel_.bank(s.rank, s.bank).isOpen())
+            return "open-bank mask differs at bank " + std::to_string(bi);
+    }
+    return "";
 }
 
 void
@@ -162,66 +273,91 @@ MemController::tryRefresh(Tick now)
     return false;
 }
 
-template <typename Fn>
-void
-MemController::forEachActive(Fn &&fn) const
-{
-    // Page policies and the scheduler see the *active* transaction
-    // pool: the read queue in read mode, the write queue while
-    // draining. Parked writes are not serviceable, so treating them as
-    // pending conflicts would collapse open-adaptive into
-    // close-adaptive whenever the write queue holds a few random
-    // writebacks.
-    const auto walk = [&fn](const std::vector<Request *> &q) {
-        for (Request *req : q)
-            fn(req);
-    };
-    if (scheduler_->unifiedQueues()) {
-        walk(readQ_);
-        walk(writeQ_);
-    } else {
-        walk(drainingWrites_ ? writeQ_ : readQ_);
-    }
-}
-
 void
 MemController::buildCandidates(Tick now)
 {
     cands_.clear();
-    forEachActive([&](Request *req) {
-        const Bank &bank = channel_.bank(req->coord.rank, req->coord.bank);
-        Candidate c;
-        c.req = req;
-        if (!bank.isOpen()) {
-            c.cmd = DramCommandType::Activate;
-            c.legalAt = channel_.nextLegalAt(
-                DramCommand::activate(req->coord), now);
-        } else if (bank.openRow() == req->coord.row) {
-            c.cmd = req->isWrite ? DramCommandType::Write
-                                 : DramCommandType::Read;
-            c.isRowHit = true;
-            const auto cmd = req->isWrite
-                                 ? DramCommand::write(req->coord)
-                                 : DramCommand::read(req->coord);
-            c.legalAt = channel_.nextLegalAt(cmd, now);
-        } else {
-            c.cmd = DramCommandType::Precharge;
-            c.legalAt = channel_.nextLegalAt(
-                DramCommand::precharge(req->coord.rank, req->coord.bank),
-                now);
+    poolLegalAt_ = kMaxTick;
+    const auto consider = [this](Tick t) {
+        if (t < poolLegalAt_)
+            poolLegalAt_ = t;
+    };
+    std::uint64_t poolBanks = 0;
+    for (const std::uint32_t q : {kRead, kWrite}) {
+        if (isActive(q))
+            poolBanks |= index_[q].banks;
+    }
+    if (channel_.issueCount() != legalStamp_) {
+        legalStamp_ = channel_.issueCount();
+        legalBanks_ = 0;
+    }
+    channel_.bankLegality(poolBanks & ~legalBanks_, legal_.data());
+    legalBanks_ |= poolBanks;
+
+    for (std::uint64_t m = poolBanks; m; m &= m - 1) {
+        const unsigned bi = lowestSetBit(m);
+        const BankLegality &l = legal_[bi];
+        for (const std::uint32_t q : {kRead, kWrite}) {
+            const BankIndex &ix = index_[q];
+            const std::vector<Request *> &reqs = ix.reqs[bi];
+            if (!isActive(q) || reqs.empty())
+                continue;
+            // A hit waits on the queue's column command, any other
+            // request on the bank's ACT or PRE.
+            const Tick casAt = q == kWrite ? l.wr : l.rd;
+            if (!((ix.gatedBanks >> bi) & 1)) {
+                const Tick hitsAt = ix.hits[bi] > 0 ? casAt : kMaxTick;
+                const Tick othersAt =
+                    reqs.size() > ix.hits[bi] ? l.actPre : kMaxTick;
+                const Tick bankAt = hitsAt < othersAt ? hitsAt : othersAt;
+                consider(bankAt);
+                if (bankAt > now)
+                    continue; // Nothing here is legal yet: no walk.
+            }
+            for (Request *req : reqs) {
+                Candidate c;
+                c.req = req;
+                Tick at = l.actPre;
+                if (req->coord.row == l.row) {
+                    c.cmd = req->isWrite ? DramCommandType::Write
+                                         : DramCommandType::Read;
+                    c.isRowHit = true;
+                    at = casAt;
+                } else {
+                    c.cmd = l.row == Bank::kNoRow
+                                ? DramCommandType::Activate
+                                : DramCommandType::Precharge;
+                }
+                // A backend-imposed earliest-service tick (a remap
+                // migration in flight over this request's slot) delays
+                // whichever command the request needs next. Zero for
+                // every flat-backend request, whose banks skip this
+                // walk unless something is legal.
+                if (req->availableAt > at)
+                    at = req->availableAt;
+                consider(at);
+                if (at <= now)
+                    insertInPoolOrder(c);
+            }
         }
-        // A backend-imposed earliest-service tick (a remap migration
-        // in flight over this request's slot) delays whichever command
-        // the request needs next. Zero for every flat-backend request.
-        if (req->availableAt > c.legalAt)
-            c.legalAt = req->availableAt;
-        // nextLegalAt clamps to now, so legality now is equivalent to
-        // canIssue() (test_event_kernel cross-checks the two; the
-        // availableAt clamp above only moves legalAt past now for
-        // mid-migration stacked-backend requests).
-        c.issuableNow = c.legalAt <= now;
-        cands_.push_back(c);
-    });
+    }
+}
+
+void
+MemController::insertInPoolOrder(const Candidate &c)
+{
+    // Pool order: the read queue first, then enqueue sequence. Each
+    // bank's requests arrive in order, so the walk back is short.
+    const auto before = [](const Request *a, const Request *b) {
+        if (a->isWrite != b->isWrite)
+            return b->isWrite;
+        return static_cast<std::int32_t>(a->seq - b->seq) < 0;
+    };
+    std::size_t i = cands_.size();
+    cands_.push_back(c);
+    for (; i > 0 && before(c.req, cands_[i - 1].req); --i)
+        cands_[i] = cands_[i - 1];
+    cands_[i] = c;
 }
 
 void
@@ -250,6 +386,7 @@ MemController::serviceCas(Request *req, Tick now, Tick dataReadyAt)
     scheduler_->onRequestServiced(*req);
     if (req->isWrite) {
         removeFromQueue(writeQ_, req);
+        indexRemove(req);
         stats_.writeQueueLen.update(now,
                                     static_cast<double>(writeQ_.size()));
         ++stats_.servedWrites;
@@ -258,6 +395,7 @@ MemController::serviceCas(Request *req, Tick now, Tick dataReadyAt)
             onComplete_(req, now);
     } else {
         removeFromQueue(readQ_, req);
+        indexRemove(req);
         stats_.readQueueLen.update(now, static_cast<double>(readQ_.size()));
         ++stats_.servedReads;
         req->completedAt = dataReadyAt;
@@ -271,6 +409,10 @@ MemController::recordPrecharge(std::uint32_t bankIndex, const Bank &bank)
     stats_.activationAccesses.sample(bank.accessesThisActivation());
     pagePolicy_->onPrecharge(bankIndex, bank.openRow(),
                              bank.accessesThisActivation());
+    for (BankIndex &ix : index_) {
+        ix.totalHits -= ix.hits[bankIndex];
+        ix.hits[bankIndex] = 0;
+    }
 }
 
 bool
@@ -288,6 +430,7 @@ MemController::issueCandidate(const Candidate &cand, Tick now)
       }
       case DramCommandType::Activate:
         channel_.issue(DramCommand::activate(req->coord), now);
+        indexActivate(req->bankIndex, req->coord.row);
         pagePolicy_->onActivate(req->bankIndex, req->coord.row);
         req->actIssued = true;
         return true;
@@ -306,59 +449,46 @@ MemController::issueCandidate(const Candidate &cand, Tick now)
     return false;
 }
 
-MemController::BankPending
-MemController::gatherBankPending() const
-{
-    BankPending bp;
-    forEachActive([&](const Request *req) {
-        const Bank &bank = channel_.bank(req->coord.rank, req->coord.bank);
-        if (!bank.isOpen())
-            return;
-        const std::uint64_t bit = 1ull << req->bankIndex;
-        if (req->coord.row == bank.openRow())
-            bp.hit |= bit;
-        else
-            bp.conflict |= bit;
-    });
-    return bp;
-}
-
 bool
 MemController::tryPolicyPrecharge(Tick now, Tick *nextCloseEvent)
 {
-    const BankPending bp = gatherBankPending();
     const auto consider = [nextCloseEvent](Tick t) {
         if (nextCloseEvent && t < *nextCloseEvent)
             *nextCloseEvent = t;
     };
-    for (std::uint32_t r = 0; r < channel_.numRanks(); ++r) {
-        const Rank &rank = channel_.rank(r);
-        for (std::uint32_t b = 0; b < rank.numBanks(); ++b) {
-            const Bank &bank = rank.bank(b);
-            if (!bank.isOpen())
-                continue;
-            PageQuery q;
-            q.bank = r * banksPerRank_ + b;
-            q.openRow = bank.openRow();
-            q.accessesThisActivation = bank.accessesThisActivation();
-            q.now = now;
-            q.lastAccessAt = bank.lastAccessAt();
-            const std::uint64_t bit = 1ull << q.bank;
-            q.pendingHit = (bp.hit & bit) != 0;
-            q.pendingConflict = (bp.conflict & bit) != 0;
-            const auto pre = DramCommand::precharge(r, b);
-            if (!pagePolicy_->shouldClose(q)) {
-                consider(pagePolicy_->nextCloseEventAt(q));
-                continue;
+    // Open banks in ascending bank index, i.e. rank-major order.
+    for (std::uint64_t m = channel_.openBankMask(); m; m &= m - 1) {
+        const unsigned bi = lowestSetBit(m);
+        const BankSlot &s = channel_.slot(bi);
+        const Bank &bank = channel_.bank(s.rank, s.bank);
+        PageQuery q;
+        q.bank = bi;
+        q.openRow = bank.openRow();
+        q.accessesThisActivation = bank.accessesThisActivation();
+        q.now = now;
+        q.lastAccessAt = bank.lastAccessAt();
+        std::size_t hits = 0, pending = 0;
+        for (const std::uint32_t qi : {kRead, kWrite}) {
+            if (isActive(qi)) {
+                hits += index_[qi].hits[bi];
+                pending += index_[qi].reqs[bi].size();
             }
-            if (!channel_.canIssue(pre, now)) {
-                consider(channel_.nextLegalAt(pre, now));
-                continue;
-            }
-            recordPrecharge(q.bank, bank);
-            channel_.issue(pre, now);
-            return true;
         }
+        q.pendingHit = hits > 0;
+        q.pendingConflict = pending > hits;
+        if (!pagePolicy_->shouldClose(q)) {
+            consider(pagePolicy_->nextCloseEventAt(q));
+            continue;
+        }
+        const auto pre = DramCommand::precharge(s.rank, s.bank);
+        const Tick legalAt = channel_.nextLegalAt(pre, now);
+        if (legalAt > now) {
+            consider(legalAt);
+            continue;
+        }
+        recordPrecharge(bi, bank);
+        channel_.issue(pre, now);
+        return true;
     }
     return false;
 }
@@ -375,6 +505,16 @@ MemController::tick(Tick now)
     ctx.readQueueLen = readQ_.size();
     ctx.writeQueueLen = writeQ_.size();
     ctx.drainingWrites = drainingWrites_;
+    if (scheduler_->unifiedQueues()) {
+        activeQueues_ = 1u << kRead | 1u << kWrite;
+        ctx.pool = PoolView(readQ_, writeQ_);
+    } else if (drainingWrites_) {
+        activeQueues_ = 1u << kWrite;
+        ctx.pool = PoolView(writeQ_);
+    } else {
+        activeQueues_ = 1u << kRead;
+        ctx.pool = PoolView(readQ_);
+    }
     scheduler_->tick(now, ctx);
 
     // Time-weighted queue statistics observe every executed cycle;
@@ -383,16 +523,20 @@ MemController::tick(Tick now)
     stats_.readQueueLen.update(now, static_cast<double>(readQ_.size()));
     stats_.writeQueueLen.update(now, static_cast<double>(writeQ_.size()));
 
+    poolLegalAt_ = kMaxTick;
     if (tryRefresh(now))
         return nextCycle;
 
-    buildCandidates(now);
-    if (!cands_.empty()) {
+    if (!ctx.pool.empty()) {
+        buildCandidates(now);
+        for (const std::uint32_t q : {kRead, kWrite}) {
+            if (isActive(q))
+                ctx.pendingHits += index_[q].totalHits;
+        }
         const int pick = scheduler_->choose(cands_, now, ctx);
         if (pick >= 0) {
-            mc_assert(pick < static_cast<int>(cands_.size()) &&
-                          cands_[pick].issuableNow,
-                      "scheduler chose an illegal candidate");
+            mc_assert(pick < static_cast<int>(cands_.size()),
+                      "scheduler chose a candidate it was not offered");
             issueCandidate(cands_[pick], now);
             return nextCycle;
         }
@@ -427,10 +571,9 @@ MemController::nextEventAt(Tick now, Tick policyCloseEvent)
         return now + clk_.dramToTicks(1);
     consider(channel_.nextRefreshDueAt());
 
-    // First tick any queued request's next command becomes legal —
-    // already computed by this cycle's buildCandidates() pass.
-    for (const Candidate &c : cands_)
-        consider(c.legalAt);
+    // First tick any pool request's next command becomes legal, from
+    // this cycle's buildCandidates() pass.
+    consider(poolLegalAt_);
 
     // Parked writes enter the idle drain once reads have been absent
     // for writeIdleDrainCycles (the only time-driven drain flip).

@@ -14,10 +14,12 @@
 #ifndef CLOUDMC_MEM_MEM_CONTROLLER_HH
 #define CLOUDMC_MEM_MEM_CONTROLLER_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "common/stats.hh"
@@ -126,22 +128,38 @@ class MemController
     const MemControllerStats &stats() const { return stats_; }
     void resetStats(Tick now);
 
-  private:
-    /** Call @p fn on every request of the active transaction pool. */
-    template <typename Fn> void forEachActive(Fn &&fn) const;
-
     /**
-     * Per-bank pending-row summary of the active transaction pool,
-     * computed in one pass instead of one queue scan per bank. Bit
-     * Request::bankIndex stands for that bank: DramGeometry::validate()
-     * caps a channel at kMaxBanksPerChannel (64) banks.
+     * Rebuild the per-bank index from the queues and the channel's
+     * bank states and describe the first difference from the
+     * incrementally kept one, or return "" when they agree. For tests.
      */
-    struct BankPending
+    std::string indexMismatch() const;
+
+  private:
+    /**
+     * One queue's requests per bank, in queue order, with the counts
+     * the scheduler and the page policy read. Bit Request::bankIndex
+     * of a mask stands for that bank: DramGeometry::validate() caps a
+     * channel at kMaxBanksPerChannel (64) banks. Vectors grow on use,
+     * so an idle bank costs no request slots.
+     */
+    struct BankIndex
     {
-        std::uint64_t hit = 0;      ///< Bit per bank: open-row match.
-        std::uint64_t conflict = 0; ///< Bit per bank: other-row request.
+        std::array<std::vector<Request *>, kMaxBanksPerChannel> reqs;
+        /** Requests that match the bank's open row (0 while closed). */
+        std::array<std::uint32_t, kMaxBanksPerChannel> hits{};
+        /** Requests whose availableAt lies past their arrival. */
+        std::array<std::uint32_t, kMaxBanksPerChannel> gated{};
+        std::uint64_t banks = 0;      ///< Bit per bank holding requests.
+        std::uint64_t gatedBanks = 0; ///< Bit per bank with gated > 0.
+        std::size_t totalHits = 0;    ///< Sum of hits over the banks.
     };
-    BankPending gatherBankPending() const;
+    static constexpr std::uint32_t kRead = 0, kWrite = 1;
+
+    void indexInsert(Request *req);
+    void indexRemove(Request *req);
+    /** Recount @p bankIndex's open-row hits after an ACT of @p row. */
+    void indexActivate(std::uint32_t bankIndex, std::uint64_t row);
 
     /**
      * Earliest upcoming event for a quiescent controller (see tick()).
@@ -153,7 +171,10 @@ class MemController
     void deliverResponses(Tick now);
     void updateDrainMode(Tick now);
     bool tryRefresh(Tick now);
+    /** Legality of every pool bank, then the issuable candidates in
+     *  pool order and poolLegalAt_. */
     void buildCandidates(Tick now);
+    void insertInPoolOrder(const Candidate &c);
     bool issueCandidate(const Candidate &cand, Tick now);
     /**
      * Issue a page-policy precharge if one is wanted and legal.
@@ -163,8 +184,10 @@ class MemController
      */
     bool tryPolicyPrecharge(Tick now, Tick *nextCloseEvent = nullptr);
     void serviceCas(Request *req, Tick now, Tick dataReadyAt);
-    /** Sample @p bank's closing activation and tell the page policy;
-     *  @p bankIndex is rank * banksPerRank + bank. */
+    /** Sample @p bank's closing activation, tell the page policy and
+     *  clear the bank's hit counts; every PRE (scheduler, page policy,
+     *  refresh) goes through here. @p bankIndex is rank * banksPerRank
+     *  + bank. */
     void recordPrecharge(std::uint32_t bankIndex, const Bank &bank);
     void removeFromQueue(std::vector<Request *> &q, Request *req);
 
@@ -178,7 +201,33 @@ class MemController
 
     std::vector<Request *> readQ_;
     std::vector<Request *> writeQ_;
-    std::vector<Candidate> cands_; ///< Reused each cycle.
+    std::array<BankIndex, 2> index_; ///< [kRead], [kWrite].
+    std::uint32_t nextSeq_ = 0;      ///< Request::seq of the next enqueue.
+
+    /**
+     * The active transaction pool of this cycle: bit kRead and/or bit
+     * kWrite. Page policies and the scheduler see the read queue in
+     * read mode and the write queue while draining (both under
+     * Scheduler::unifiedQueues()). Parked writes are not serviceable,
+     * so treating them as pending conflicts would collapse
+     * open-adaptive into close-adaptive whenever the write queue holds
+     * a few random writebacks.
+     */
+    std::uint32_t activeQueues_ = 0;
+    bool isActive(std::uint32_t q) const
+    {
+        return (activeQueues_ >> q) & 1;
+    }
+    /** Earliest tick a pool request's next command is legal, from
+     *  this cycle's buildCandidates() (kMaxTick when it did not run). */
+    Tick poolLegalAt_ = kMaxTick;
+    /** Per-bank legal ticks, valid for the banks in legalBanks_ while
+     *  the channel's issueCount() equals legalStamp_: cycles without
+     *  an issue in between reuse them. */
+    std::array<BankLegality, kMaxBanksPerChannel> legal_{};
+    std::uint64_t legalBanks_ = 0;
+    std::uint64_t legalStamp_ = 0;
+    std::vector<Candidate> cands_; ///< Issuable only; reused each cycle.
 
     struct PendingResponse
     {

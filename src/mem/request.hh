@@ -53,6 +53,12 @@ struct Request
     bool marked = false;   ///< PAR-BS batch membership.
     bool preIssued = false; ///< A conflict PRE was issued for us.
     bool actIssued = false; ///< An ACT was issued for us.
+
+    /** Enqueue order within the controller, stamped by
+     *  MemController::enqueue. 32 bits fill the tail padding (Request
+     *  stays 88 bytes), so compare two keys wrap-safely:
+     *  int32_t(a.seq - b.seq) < 0 means a was enqueued first. */
+    std::uint32_t seq = 0;
 };
 
 } // namespace mcsim

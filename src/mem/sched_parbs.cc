@@ -14,16 +14,16 @@ ParBsScheduler::ParBsScheduler(std::uint32_t numCores, ParBsConfig cfg)
 }
 
 void
-ParBsScheduler::formBatch(const std::vector<Candidate> &cands)
+ParBsScheduler::formBatch(const PoolView &pool)
 {
     // Mark up to batchingCap oldest requests per (core, bank).
     std::map<std::pair<std::uint32_t, std::uint32_t>,
              std::vector<Request *>> perCoreBank;
-    for (const auto &c : cands) {
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+        Request *req = pool[i];
         const auto key =
-            std::make_pair(coreSlot(c.req->core, numCores_),
-                           c.req->bankIndex);
-        perCoreBank[key].push_back(c.req);
+            std::make_pair(coreSlot(req->core, numCores_), req->bankIndex);
+        perCoreBank[key].push_back(req);
     }
     markedOutstanding_ = 0;
     for (auto &[key, reqs] : perCoreBank) {
@@ -41,12 +41,12 @@ ParBsScheduler::formBatch(const std::vector<Candidate> &cands)
     }
     if (markedOutstanding_ > 0) {
         ++batchesFormed_;
-        computeRanks(cands);
+        computeRanks(pool);
     }
 }
 
 void
-ParBsScheduler::computeRanks(const std::vector<Candidate> &cands)
+ParBsScheduler::computeRanks(const PoolView &pool)
 {
     // Shortest job first: rank cores by (max marked requests to any
     // bank, then total marked requests), ascending.
@@ -56,11 +56,12 @@ ParBsScheduler::computeRanks(const std::vector<Candidate> &cands)
         std::uint32_t total = 0;
     };
     std::vector<Load> load(numCores_ + 1);
-    for (const auto &c : cands) {
-        if (!c.req->marked)
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+        const Request *req = pool[i];
+        if (!req->marked)
             continue;
-        auto &l = load[coreSlot(c.req->core, numCores_)];
-        ++l.perBank[c.req->bankIndex];
+        auto &l = load[coreSlot(req->core, numCores_)];
+        ++l.perBank[req->bankIndex];
         ++l.total;
     }
     std::vector<std::uint32_t> order(numCores_ + 1);
@@ -94,10 +95,10 @@ ParBsScheduler::onRequestServiced(const Request &req)
 
 int
 ParBsScheduler::choose(const std::vector<Candidate> &cands, Tick,
-                       const SchedulerContext &)
+                       const SchedulerContext &ctx)
 {
-    if (markedOutstanding_ == 0 && !cands.empty())
-        formBatch(cands);
+    if (markedOutstanding_ == 0 && !ctx.pool.empty())
+        formBatch(ctx.pool);
 
     // Priority: marked > row-hit > rank > age.
     return pickBest(cands, [&](const Candidate &a, const Candidate &b) {

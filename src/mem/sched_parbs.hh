@@ -49,8 +49,8 @@ class ParBsScheduler : public Scheduler
     }
 
   private:
-    void formBatch(const std::vector<Candidate> &cands);
-    void computeRanks(const std::vector<Candidate> &cands);
+    void formBatch(const PoolView &pool);
+    void computeRanks(const PoolView &pool);
 
     std::uint32_t numCores_;
     ParBsConfig cfg_;

@@ -39,15 +39,15 @@ RlScheduler::RlScheduler(RlConfig cfg, const ClockDomains &clk)
 }
 
 std::uint64_t
-RlScheduler::featurize(const Candidate &c, const SchedulerContext &ctx,
-                       std::size_t pendingHits) const
+RlScheduler::featurize(const Candidate &c,
+                       const SchedulerContext &ctx) const
 {
     // Pack quantized state and action attributes into one word; the
     // tile hashes slice it per table.
     std::uint64_t f = 0;
     f |= quantizeLen(ctx.readQueueLen);             // 3 bits
     f |= quantizeLen(ctx.writeQueueLen) << 3;       // 3 bits
-    f |= quantizeLen(pendingHits) << 6;             // 3 bits
+    f |= quantizeLen(ctx.pendingHits) << 6;         // 3 bits
     f |= static_cast<std::uint64_t>(ctx.drainingWrites) << 9;
     f |= static_cast<std::uint64_t>(c.cmd) << 10;   // 3 bits
     f |= static_cast<std::uint64_t>(c.isRowHit) << 13;
@@ -92,19 +92,7 @@ int
 RlScheduler::choose(const std::vector<Candidate> &cands, Tick now,
                     const SchedulerContext &ctx)
 {
-    std::size_t pendingHits = 0;
-    for (const auto &c : cands) {
-        if (c.isRowHit)
-            ++pendingHits;
-    }
-
-    std::vector<int> legal;
-    legal.reserve(cands.size());
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-        if (cands[i].issuableNow)
-            legal.push_back(static_cast<int>(i));
-    }
-    if (legal.empty()) {
+    if (cands.empty()) {
         // No action this cycle; defer the SARSA update until a real
         // action is available (idle cycles carry zero reward).
         return -1;
@@ -114,11 +102,11 @@ RlScheduler::choose(const std::vector<Candidate> &cands, Tick now,
     // serviced oldest-first, bypassing the learned policy.
     const TickSpan starveTicks = clk_.coreToTicks(cfg_.starvationCycles);
     int starvedIdx = -1;
-    for (int idx : legal) {
-        if (now - cands[idx].req->arrivedAt >= starveTicks) {
-            if (starvedIdx < 0 || cands[idx].req->arrivedAt <
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+        if (now - cands[i].req->arrivedAt >= starveTicks) {
+            if (starvedIdx < 0 || cands[i].req->arrivedAt <
                                       cands[starvedIdx].req->arrivedAt) {
-                starvedIdx = idx;
+                starvedIdx = static_cast<int>(i);
             }
         }
     }
@@ -132,28 +120,27 @@ RlScheduler::choose(const std::vector<Candidate> &cands, Tick now,
         // an exploratory no-op burns the issue slot).
         const auto extra = cfg_.exploreNoAction ? 1u : 0u;
         const auto pick = rng_.below(
-            static_cast<std::uint32_t>(legal.size()) + extra);
+            static_cast<std::uint32_t>(cands.size()) + extra);
         ++explorations_;
-        if (pick == legal.size()) {
+        if (pick == cands.size()) {
             // No-action: defer the SARSA update to the next real
             // decision (idle cycles carry zero reward either way).
             return -1;
         }
-        chosen = legal[pick];
+        chosen = static_cast<int>(pick);
     } else {
-        chosen = legal[0];
-        double bestQ = qValue(featurize(cands[chosen], ctx, pendingHits));
-        for (std::size_t k = 1; k < legal.size(); ++k) {
-            const double q =
-                qValue(featurize(cands[legal[k]], ctx, pendingHits));
+        chosen = 0;
+        double bestQ = qValue(featurize(cands[0], ctx));
+        for (std::size_t k = 1; k < cands.size(); ++k) {
+            const double q = qValue(featurize(cands[k], ctx));
             if (q > bestQ) {
                 bestQ = q;
-                chosen = legal[k];
+                chosen = static_cast<int>(k);
             }
         }
     }
 
-    const std::uint64_t feats = featurize(cands[chosen], ctx, pendingHits);
+    const std::uint64_t feats = featurize(cands[chosen], ctx);
     const double q = qValue(feats);
     if (havePrev_)
         update(prevReward_, q);

@@ -64,8 +64,7 @@ class RlScheduler : public Scheduler
 
   private:
     std::uint64_t featurize(const Candidate &c,
-                            const SchedulerContext &ctx,
-                            std::size_t pendingHits) const;
+                            const SchedulerContext &ctx) const;
     std::uint32_t tableHash(std::uint64_t features,
                             std::uint32_t table) const;
     void update(double reward, double nextQ);

@@ -2,20 +2,24 @@
  * @file
  * Memory scheduling algorithm (MSA) interface.
  *
- * Each DRAM-clock cycle the controller enumerates, for every request
- * in the active pool (read queue, or write queue while draining), the
- * next DRAM command that request needs given current bank state, and
- * flags whether that command is issuable this cycle. The scheduler
- * picks one issuable candidate (or none). This factoring lets request-
- * level policies (FCFS, FR-FCFS, PAR-BS, ATLAS) and command-level
- * policies (RL) share one interface.
+ * Each DRAM-clock cycle with a non-empty active pool (the read queue,
+ * or the write queue while draining; both for unifiedQueues()
+ * policies), the controller offers the scheduler the *issuable*
+ * candidates only: every pool request whose next DRAM command (given
+ * current bank state) is legal this cycle, in pool order. The pool
+ * itself, in queue order, and its pending row-hit count ride in the
+ * SchedulerContext for the policies that look past the issuable set.
+ * The scheduler picks one candidate (or none). This factoring lets
+ * request-level policies (FCFS, FR-FCFS, PAR-BS, ATLAS) and
+ * command-level policies (RL) share one interface.
  *
  * The priority schedulers (FR-FCFS, PAR-BS, ATLAS, TCM, STFM, FQM)
  * state only a strict "a beats b" comparator and select through
- * Scheduler::pickBest, which owns the one tie rule: the first issuable
+ * Scheduler::pickBest, which owns the one tie rule: the first
  * candidate that no later candidate strictly beats, so equal
  * candidates resolve to the lowest index (the earlier queue position).
- * FCFS, FCFS_banks (head-of-bank filter) and RL keep their own loops.
+ * FCFS (pool front), FCFS_banks (per-bank pool heads) and RL keep
+ * their own loops.
  */
 
 #ifndef CLOUDMC_MEM_SCHEDULER_HH
@@ -30,16 +34,12 @@
 
 namespace mcsim {
 
-/** One service option the scheduler may pick this cycle. */
+/** One issuable service option the scheduler may pick this cycle. */
 struct Candidate
 {
     Request *req = nullptr;      ///< The request this command advances.
     DramCommandType cmd = DramCommandType::Activate;
-    bool issuableNow = false;    ///< Legal per all DRAM constraints.
     bool isRowHit = false;       ///< CAS to an already-open row.
-    /** Earliest tick the command becomes legal absent further issues
-     *  (== now when issuableNow); the event kernel's wake-up hint. */
-    Tick legalAt;
 };
 
 /** Per-core state slot of @p core: cores 0..numCores-1 own one each,
@@ -50,6 +50,42 @@ coreSlot(CoreId core, std::uint32_t numCores)
     return core >= numCores ? numCores : core;
 }
 
+/**
+ * A read-only view of the active pool in queue order: one queue, or
+ * the read queue followed by the write queue. Each queue holds its
+ * requests in arrival order (enqueue stamps arrivedAt = now, and now
+ * never decreases), so the front of a queue is its oldest request.
+ */
+class PoolView
+{
+  public:
+    PoolView() = default;
+    explicit PoolView(const std::vector<Request *> &q)
+        : head_(q.data()), headLen_(q.size())
+    {
+    }
+    PoolView(const std::vector<Request *> &head,
+             const std::vector<Request *> &tail)
+        : head_(head.data()), tail_(tail.data()), headLen_(head.size()),
+          tailLen_(tail.size())
+    {
+    }
+
+    std::size_t size() const { return headLen_ + tailLen_; }
+    bool empty() const { return size() == 0; }
+    Request *
+    operator[](std::size_t i) const
+    {
+        return i < headLen_ ? head_[i] : tail_[i - headLen_];
+    }
+
+  private:
+    Request *const *head_ = nullptr;
+    Request *const *tail_ = nullptr;
+    std::size_t headLen_ = 0;
+    std::size_t tailLen_ = 0;
+};
+
 /** Controller state visible to schedulers (beyond the candidates). */
 struct SchedulerContext
 {
@@ -57,6 +93,12 @@ struct SchedulerContext
     std::size_t readQueueLen = 0;
     std::size_t writeQueueLen = 0;
     bool drainingWrites = false;
+    /** The active pool; the candidates are its issuable subset, in the
+     *  same order. */
+    PoolView pool;
+    /** Pool requests whose row is open in their bank (issuable or
+     *  not). Set for choose() only. */
+    std::size_t pendingHits = 0;
 };
 
 /**
@@ -72,7 +114,8 @@ class Scheduler
 
     /**
      * Pick a candidate index to issue this cycle, or -1 to stay idle.
-     * Only candidates with issuableNow set may be returned.
+     * Called on every cycle the controller's active pool is non-empty,
+     * with @p cands possibly empty (nothing issuable).
      */
     virtual int choose(const std::vector<Candidate> &cands, Tick now,
                        const SchedulerContext &ctx) = 0;
@@ -113,9 +156,9 @@ class Scheduler
 
   protected:
     /**
-     * Index of the first issuable candidate that no later issuable
-     * candidate strictly beats under @p better(a, b) ("a beats b"), or
-     * -1 if none is issuable. Ties keep the lowest index.
+     * Index of the first candidate that no later candidate strictly
+     * beats under @p better(a, b) ("a beats b"), or -1 if there is
+     * none. Ties keep the lowest index.
      */
     template <typename Better>
     static int
@@ -123,8 +166,6 @@ class Scheduler
     {
         int best = -1;
         for (std::size_t i = 0; i < cands.size(); ++i) {
-            if (!cands[i].issuableNow)
-                continue;
             if (best < 0 || better(cands[i], cands[best]))
                 best = static_cast<int>(i);
         }

@@ -11,11 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cctype>
 #include <string>
 #include <vector>
 
+#include "common/random.hh"
 #include "dram/channel.hh"
+#include "dram/devices.hh"
 #include "sim/system.hh"
 #include "workload/presets.hh"
 
@@ -375,6 +378,118 @@ TEST_F(NextLegalTest, StateMismatchesReportNever)
     EXPECT_EQ(chan.nextLegalAt(DramCommand::read(coord(0, 0, 6)), Tick{1}),
               kMaxTick);
 }
+
+/**
+ * Channel::bankLegality() must agree with canIssue() and nextLegalAt()
+ * on every bank and for each of ACT, PRE, RD and WR, along a random
+ * legal command stream: two ranks (tCS), DDR4/DDR5 bank groups
+ * (tCCD_L, tWTR_L, tRRD_L; DDR5's 2 x 32 banks fill the 64-bank mask)
+ * and LPDDR3's per-bank refresh (REFpb) are all in play.
+ */
+class BankLegalityCrossCheck : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(BankLegalityCrossCheck, MatchesCanIssueOnEveryBank)
+{
+    const DramDevice &dev = dramDeviceOrDie(GetParam());
+    DramGeometry g = dev.geometry;
+    g.channels = 1;
+    g.ranksPerChannel = 2;
+    const ClockDomains clk = ClockDomains::fromMhz(2000, dev.busMhz);
+    Channel chan(g, dev.timings, true, clk);
+    const std::uint32_t banks = g.ranksPerChannel * g.banksPerRank;
+    ASSERT_LE(banks, kMaxBanksPerChannel);
+    const std::uint64_t all =
+        banks == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << banks) - 1;
+
+    Pcg32 rng(17);
+    std::array<BankLegality, kMaxBanksPerChannel> legal{};
+    Tick now{};
+    std::uint64_t issued = 0, refreshes = 0;
+    for (int step = 0; step < 3000; ++step) {
+        chan.bankLegality(all, legal.data());
+        std::vector<DramCommand> legalNow;
+        for (std::uint32_t bi = 0; bi < banks; ++bi) {
+            const BankSlot &s = chan.slot(bi);
+            ASSERT_EQ(s.rank, bi / g.banksPerRank);
+            ASSERT_EQ(s.bank, bi % g.banksPerRank);
+            ASSERT_EQ(s.group, g.bankGroupOf(s.bank));
+            const Bank &bk = chan.bank(s.rank, s.bank);
+            ASSERT_EQ(((chan.openBankMask() >> bi) & 1) != 0, bk.isOpen());
+            const BankLegality &l = legal[bi];
+            ASSERT_EQ(l.row, bk.isOpen() ? bk.openRow() : Bank::kNoRow);
+            DramCoord c;
+            c.rank = s.rank;
+            c.bank = s.bank;
+            c.row = bk.isOpen() ? bk.openRow() : rng.below(8);
+            const std::array<std::pair<DramCommand, Tick>, 4> checks{{
+                {DramCommand::activate(c),
+                 bk.isOpen() ? kMaxTick : l.actPre},
+                {DramCommand::precharge(s.rank, s.bank),
+                 bk.isOpen() ? l.actPre : kMaxTick},
+                {DramCommand::read(c), l.rd},
+                {DramCommand::write(c), l.wr},
+            }};
+            for (const auto &[cmd, at] : checks) {
+                SCOPED_TRACE(testing::Message()
+                             << dramCommandName(cmd.type) << " bank " << bi
+                             << " step " << step);
+                const bool now_ok = chan.canIssue(cmd, now);
+                ASSERT_EQ(now_ok, at <= now);
+                const Tick expect =
+                    at == kMaxTick ? kMaxTick : (at > now ? at : now);
+                ASSERT_EQ(chan.nextLegalAt(cmd, now), expect);
+                if (at != kMaxTick && at > now) {
+                    ASSERT_TRUE(chan.canIssue(cmd, at));
+                    ASSERT_FALSE(chan.canIssue(cmd, at - TickSpan{1}));
+                }
+                if (now_ok)
+                    legalNow.push_back(cmd);
+            }
+        }
+        // A due refresh closes its target (the rank, or the REFpb bank)
+        // and issues, so the refresh states are in play too.
+        const int due = chan.refreshDueRank(now);
+        if (due >= 0) {
+            const auto r = static_cast<std::uint32_t>(due);
+            const std::uint32_t b = chan.rank(r).refreshDueBank();
+            const DramCommand ref = chan.perBankRefresh()
+                                        ? DramCommand::refreshBank(r, b)
+                                        : DramCommand::refresh(r);
+            std::vector<DramCommand> closing;
+            for (const DramCommand &cmd : legalNow) {
+                if (cmd.type == DramCommandType::Precharge &&
+                    cmd.rank == r &&
+                    (!chan.perBankRefresh() || cmd.bank == b)) {
+                    closing.push_back(cmd);
+                }
+            }
+            legalNow = closing;
+            if (chan.canIssue(ref, now)) {
+                chan.issue(ref, now);
+                ++refreshes;
+                now += clk.dramToTicks(1);
+                continue;
+            }
+        }
+        if (!legalNow.empty() && !rng.chance(0.2)) {
+            chan.issue(legalNow[rng.below(
+                           static_cast<std::uint32_t>(legalNow.size()))],
+                       now);
+            ++issued;
+        }
+        // Mostly small steps; now and then a long idle gap, so that
+        // refresh comes due within the run.
+        now += clk.dramToTicks(rng.chance(0.01) ? 500 : 1 + rng.below(4));
+    }
+    EXPECT_GT(issued, 1000u);
+    EXPECT_GT(refreshes, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Devices, BankLegalityCrossCheck,
+                         ::testing::Values("DDR3-1600", "DDR4-2400",
+                                           "DDR5-4800", "LPDDR3-1600"));
 
 /** The reported skip statistics must show the kernel actually skips. */
 TEST(EventKernel, SkipCountersShowIdleSkipping)

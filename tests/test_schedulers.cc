@@ -34,11 +34,23 @@ tk(TickSpan s)
     return Tick{} + s;
 }
 
-/** Test fixture helper: owns requests and builds candidates. */
+SchedulerContext
+ctx16()
+{
+    SchedulerContext c;
+    c.numCores = 16;
+    return c;
+}
+
+/**
+ * Test fixture helper: owns a pool of requests in queue order and
+ * offers a scheduler the issuable ones, as MemController does.
+ */
 class Pool
 {
   public:
-    Candidate &
+    /** Append a request; @p issuable also makes it a candidate. */
+    Request &
     add(Tick arrived, CoreId core, std::uint32_t bank, bool issuable,
         bool rowHit, DramCommandType cmd = DramCommandType::Read)
     {
@@ -53,27 +65,48 @@ class Pool
         Candidate c;
         c.req = req.get();
         c.cmd = cmd;
-        c.issuableNow = issuable;
         c.isRowHit = rowHit;
+        entries_.push_back({c, issuable});
+        queue_.push_back(req.get());
         storage_.push_back(std::move(req));
-        cands_.push_back(c);
-        return cands_.back();
+        return *queue_.back();
     }
 
-    std::vector<Candidate> &all() { return cands_; }
+    /** s.choose() over the issuable requests, in pool order, with the
+     *  pool and its row-hit count in the context; returns the pick as
+     *  a pool position (-1: none). */
+    int
+    choose(Scheduler &s, Tick now, SchedulerContext ctx = ctx16())
+    {
+        std::vector<Candidate> cands;
+        std::vector<int> position;
+        ctx.pool = PoolView(queue_);
+        ctx.pendingHits = 0;
+        for (std::size_t i = 0; i < entries_.size(); ++i) {
+            ctx.pendingHits += entries_[i].cand.isRowHit;
+            if (entries_[i].issuable) {
+                cands.push_back(entries_[i].cand);
+                position.push_back(static_cast<int>(i));
+            }
+        }
+        const int pick = s.choose(cands, now, ctx);
+        return pick < 0 ? pick
+                        : position[static_cast<std::size_t>(pick)];
+    }
+
+    Request *req(int i) { return queue_[static_cast<std::size_t>(i)]; }
+    int size() const { return static_cast<int>(queue_.size()); }
 
   private:
+    struct Entry
+    {
+        Candidate cand;
+        bool issuable;
+    };
     std::vector<std::unique_ptr<Request>> storage_;
-    std::vector<Candidate> cands_;
+    std::vector<Request *> queue_;
+    std::vector<Entry> entries_;
 };
-
-SchedulerContext
-ctx16()
-{
-    SchedulerContext c;
-    c.numCores = 16;
-    return c;
-}
 
 } // namespace
 
@@ -81,12 +114,14 @@ ctx16()
 
 TEST(Fcfs, PicksOldestOnly)
 {
+    // The pool is in arrival order: the oldest is its front, and
+    // issuable row hits behind it do not jump ahead.
     FcfsScheduler s;
     Pool p;
-    p.add(tk(100), 0, 0, true, true);
     p.add(tk(50), 1, 1, true, false); // Oldest.
+    p.add(tk(100), 0, 0, true, true);
     p.add(tk(200), 2, 2, true, true);
-    EXPECT_EQ(s.choose(p.all(), tk(300), ctx16()), 1);
+    EXPECT_EQ(p.choose(s, tk(300), ctx16()), 0);
 }
 
 TEST(Fcfs, IdlesWhenOldestNotIssuable)
@@ -95,14 +130,14 @@ TEST(Fcfs, IdlesWhenOldestNotIssuable)
     Pool p;
     p.add(tk(50), 0, 0, false, false); // Oldest but blocked.
     p.add(tk(100), 1, 1, true, true);  // Issuable but younger.
-    EXPECT_EQ(s.choose(p.all(), tk(300), ctx16()), -1);
+    EXPECT_EQ(p.choose(s, tk(300), ctx16()), -1);
 }
 
 TEST(Fcfs, EmptyPool)
 {
     FcfsScheduler s;
-    std::vector<Candidate> none;
-    EXPECT_EQ(s.choose(none, tk(0), ctx16()), -1);
+    Pool none;
+    EXPECT_EQ(none.choose(s, tk(0)), -1);
 }
 
 // ---------------------------------------------------------- FCFS_banks
@@ -114,7 +149,7 @@ TEST(FcfsBanks, ServesOldestPerBank)
     p.add(tk(50), 0, 0, false, false); // Bank 0 head, blocked.
     p.add(tk(100), 1, 0, true, true);  // Bank 0, younger: NOT eligible.
     p.add(tk(200), 2, 1, true, false); // Bank 1 head, issuable.
-    EXPECT_EQ(s.choose(p.all(), tk(300), ctx16()), 2);
+    EXPECT_EQ(p.choose(s, tk(300), ctx16()), 2);
 }
 
 TEST(FcfsBanks, NoReorderingWithinBank)
@@ -123,7 +158,7 @@ TEST(FcfsBanks, NoReorderingWithinBank)
     Pool p;
     p.add(tk(50), 0, 0, false, false); // Head of bank 0 blocked.
     p.add(tk(100), 1, 0, true, true);  // Row hit behind it.
-    EXPECT_EQ(s.choose(p.all(), tk(300), ctx16()), -1);
+    EXPECT_EQ(p.choose(s, tk(300), ctx16()), -1);
 }
 
 TEST(FcfsBanks, AgeBreaksTiesAcrossBanks)
@@ -132,7 +167,7 @@ TEST(FcfsBanks, AgeBreaksTiesAcrossBanks)
     Pool p;
     p.add(tk(80), 0, 0, true, false);
     p.add(tk(20), 1, 1, true, false); // Older head.
-    EXPECT_EQ(s.choose(p.all(), tk(300), ctx16()), 1);
+    EXPECT_EQ(p.choose(s, tk(300), ctx16()), 1);
 }
 
 TEST(FcfsBanks, EqualAgeHeadsResolveByRequestId)
@@ -158,9 +193,9 @@ TEST(FcfsBanks, EqualAgeHeadsResolveByRequestId)
             p.add(arrival, 1, 5, true, false); // id 1, bank 5.
             p.add(arrival, 0, 2, true, false); // id 2, bank 2.
         }
-        const int pick = s.choose(p.all(), tk(300), ctx16());
+        const int pick = p.choose(s, tk(300), ctx16());
         ASSERT_GE(pick, 0);
-        EXPECT_EQ(p.all()[static_cast<std::size_t>(pick)].req->id, 0u)
+        EXPECT_EQ(p.req(pick)->id, 0u)
             << "permutation " << perm;
     }
 }
@@ -173,7 +208,7 @@ TEST(FrFcfs, PrefersRowHits)
     Pool p;
     p.add(tk(50), 0, 0, true, false);  // Oldest, not a hit.
     p.add(tk(100), 1, 1, true, true);  // Younger hit: wins.
-    EXPECT_EQ(s.choose(p.all(), tk(300), ctx16()), 1);
+    EXPECT_EQ(p.choose(s, tk(300), ctx16()), 1);
 }
 
 TEST(FrFcfs, OldestHitAmongHits)
@@ -183,7 +218,7 @@ TEST(FrFcfs, OldestHitAmongHits)
     p.add(tk(100), 0, 0, true, true);
     p.add(tk(60), 1, 1, true, true); // Older hit.
     p.add(tk(10), 2, 2, true, false);
-    EXPECT_EQ(s.choose(p.all(), tk(300), ctx16()), 1);
+    EXPECT_EQ(p.choose(s, tk(300), ctx16()), 1);
 }
 
 TEST(FrFcfs, FallsBackToOldest)
@@ -192,7 +227,7 @@ TEST(FrFcfs, FallsBackToOldest)
     Pool p;
     p.add(tk(100), 0, 0, true, false);
     p.add(tk(60), 1, 1, true, false);
-    EXPECT_EQ(s.choose(p.all(), tk(300), ctx16()), 1);
+    EXPECT_EQ(p.choose(s, tk(300), ctx16()), 1);
 }
 
 TEST(FrFcfs, SkipsNonIssuable)
@@ -201,7 +236,7 @@ TEST(FrFcfs, SkipsNonIssuable)
     Pool p;
     p.add(tk(100), 0, 0, false, true);
     p.add(tk(200), 1, 1, true, false);
-    EXPECT_EQ(s.choose(p.all(), tk(300), ctx16()), 1);
+    EXPECT_EQ(p.choose(s, tk(300), ctx16()), 1);
 }
 
 // --------------------------------------------------------------- PAR-BS
@@ -213,16 +248,16 @@ TEST(ParBs, MarkedRequestsBeatUnmarked)
     p.add(tk(10), 0, 0, true, false);
     p.add(tk(20), 0, 0, true, false);
     // First choose() forms a batch over current pool.
-    const int first = s.choose(p.all(), tk(100), ctx16());
+    const int first = p.choose(s, tk(100), ctx16());
     ASSERT_GE(first, 0);
-    EXPECT_TRUE(p.all()[first].req->marked);
+    EXPECT_TRUE(p.req(first)->marked);
     EXPECT_EQ(s.batchesFormed(), 1u);
     // A new arrival after batch formation is unmarked and loses.
     auto &young = p.add(tk(30), 1, 1, true, true);
-    const int second = s.choose(p.all(), tk(100), ctx16());
+    const int second = p.choose(s, tk(100), ctx16());
     ASSERT_GE(second, 0);
-    EXPECT_TRUE(p.all()[second].req->marked);
-    EXPECT_NE(p.all()[second].req, young.req);
+    EXPECT_TRUE(p.req(second)->marked);
+    EXPECT_NE(p.req(second), &young);
 }
 
 TEST(ParBs, BatchingCapLimitsPerCoreBankMarks)
@@ -231,10 +266,10 @@ TEST(ParBs, BatchingCapLimitsPerCoreBankMarks)
     Pool p;
     for (int i = 0; i < 5; ++i)
         p.add(tk(10 + i), 0, 0, true, false); // Same core, same bank.
-    (void)s.choose(p.all(), tk(100), ctx16());
+    (void)p.choose(s, tk(100), ctx16());
     int marked = 0;
-    for (const auto &c : p.all())
-        marked += c.req->marked;
+    for (int i = 0; i < p.size(); ++i)
+        marked += p.req(i)->marked;
     EXPECT_EQ(marked, 2);
 }
 
@@ -247,7 +282,7 @@ TEST(ParBs, ShortestJobRanksFirst)
     p.add(tk(11), 0, 0, true, false);
     p.add(tk(12), 0, 0, true, false);
     p.add(tk(20), 1, 1, true, false);
-    (void)s.choose(p.all(), tk(100), ctx16());
+    (void)p.choose(s, tk(100), ctx16());
     EXPECT_LT(s.coreRank(1), s.coreRank(0));
 }
 
@@ -256,16 +291,16 @@ TEST(ParBs, NewBatchWhenDrained)
     ParBsScheduler s(16, ParBsConfig{5});
     Pool p;
     p.add(tk(10), 0, 0, true, false);
-    const int idx = s.choose(p.all(), tk(100), ctx16());
+    const int idx = p.choose(s, tk(100), ctx16());
     ASSERT_EQ(idx, 0);
-    s.onRequestServiced(*p.all()[0].req);
+    s.onRequestServiced(*p.req(0));
     // Pool for the next cycle: a fresh request; batch is empty so a
     // new one forms and it gets marked.
     Pool p2;
     p2.add(tk(50), 2, 3, true, false);
-    (void)s.choose(p2.all(), tk(200), ctx16());
+    (void)p2.choose(s, tk(200), ctx16());
     EXPECT_EQ(s.batchesFormed(), 2u);
-    EXPECT_TRUE(p2.all()[0].req->marked);
+    EXPECT_TRUE(p2.req(0)->marked);
 }
 
 // ---------------------------------------------------------------- ATLAS
@@ -323,7 +358,7 @@ TEST(Atlas, HigherRankedCoreWins)
     p.add(tk(kBaselineClocks.coreToTicks(95)), 0, 1, true,
           false); // Light core.
     EXPECT_EQ(
-        s.choose(p.all(), tk(kBaselineClocks.coreToTicks(110)), ctx16()),
+        p.choose(s, tk(kBaselineClocks.coreToTicks(110)), ctx16()),
         1);
 }
 
@@ -343,7 +378,7 @@ TEST(Atlas, StarvedRequestOverridesRank)
           false); // Starved heavy.
     p.add(tk(kBaselineClocks.coreToTicks(1500)), 0, 1, true, true);
     EXPECT_EQ(
-        s.choose(p.all(), tk(kBaselineClocks.coreToTicks(1600)), ctx16()),
+        p.choose(s, tk(kBaselineClocks.coreToTicks(1600)), ctx16()),
         0);
 }
 
@@ -353,7 +388,7 @@ TEST(Atlas, RowHitBreaksTiesWithinRank)
     Pool p;
     p.add(tk(10), 0, 0, true, false);
     p.add(tk(20), 0, 1, true, true);
-    EXPECT_EQ(s.choose(p.all(), tk(100), ctx16()), 1);
+    EXPECT_EQ(p.choose(s, tk(100), ctx16()), 1);
 }
 
 // ------------------------------------------------------------------- RL
@@ -367,7 +402,7 @@ TEST(Rl, OnlyPicksLegalCandidates)
     p.add(tk(10), 0, 0, false, true);
     p.add(tk(20), 1, 1, true, false);
     for (int i = 0; i < 200; ++i) {
-        const int idx = s.choose(p.all(), tk(1000 + i), ctx16());
+        const int idx = p.choose(s, tk(1000 + i), ctx16());
         ASSERT_EQ(idx, 1);
     }
 }
@@ -383,7 +418,7 @@ TEST(Rl, ExplorationNeverPicksIllegalCandidates)
     p.add(tk(20), 1, 1, true, false);
     bool sawNoAction = false;
     for (int i = 0; i < 300; ++i) {
-        const int idx = s.choose(p.all(), tk(1000 + i), ctx16());
+        const int idx = p.choose(s, tk(1000 + i), ctx16());
         ASSERT_TRUE(idx == 1 || idx == -1) << idx;
         sawNoAction = sawNoAction || idx == -1;
     }
@@ -396,7 +431,7 @@ TEST(Rl, ReturnsMinusOneWhenNothingLegal)
     RlScheduler s;
     Pool p;
     p.add(tk(10), 0, 0, false, true);
-    EXPECT_EQ(s.choose(p.all(), tk(100), ctx16()), -1);
+    EXPECT_EQ(p.choose(s, tk(100), ctx16()), -1);
 }
 
 TEST(Rl, LearnsFromRewards)
@@ -408,7 +443,7 @@ TEST(Rl, LearnsFromRewards)
     // feature vector's Q-value must rise above its initial zero.
     Tick now{1000};
     for (int i = 0; i < 500; ++i) {
-        (void)s.choose(p.all(), now, ctx16());
+        (void)p.choose(s, now, ctx16());
         now += kBaselineClocks.ticksPerDram;
     }
     EXPECT_GT(s.updates(), 400u);
@@ -427,7 +462,7 @@ TEST(Rl, ExploresAtConfiguredRate)
     p.add(tk(20), 1, 1, true, false);
     Tick now{1000};
     for (int i = 0; i < 5000; ++i) {
-        (void)s.choose(p.all(), now, ctx16());
+        (void)p.choose(s, now, ctx16());
         now += kBaselineClocks.ticksPerDram;
     }
     // ~20% of 5000 decisions should be exploratory.
@@ -446,7 +481,7 @@ TEST(Rl, StarvationGuardServicesOldRequests)
     p.add(tk(kBaselineClocks.coreToTicks(190)), 1, 1, true,
           true); // Fresh hit.
     EXPECT_EQ(
-        s.choose(p.all(), tk(kBaselineClocks.coreToTicks(200)), ctx16()),
+        p.choose(s, tk(kBaselineClocks.coreToTicks(200)), ctx16()),
         0);
 }
 
@@ -460,8 +495,8 @@ TEST(Rl, DeterministicGivenSeed)
     p.add(tk(20), 1, 1, true, false);
     Tick now{1000};
     for (int i = 0; i < 300; ++i) {
-        ASSERT_EQ(a.choose(p.all(), now, ctx16()),
-                  b.choose(p.all(), now, ctx16()));
+        ASSERT_EQ(p.choose(a, now, ctx16()),
+                  p.choose(b, now, ctx16()));
         now += kBaselineClocks.ticksPerDram;
     }
 }
@@ -488,8 +523,8 @@ TEST(Fqm, EqualizesServiceAcrossCores)
     Pool p;
     p.add(tk(10), 0, 0, true, true);  // Core 0, much virtual time.
     p.add(tk(20), 1, 0, true, false); // Core 1, none: wins.
-    EXPECT_EQ(s.choose(p.all(), tk(100), ctx16()), 1);
-    EXPECT_EQ(s.virtualTime(0, p.all()[0].req->bankIndex), 2u);
+    EXPECT_EQ(p.choose(s, tk(100), ctx16()), 1);
+    EXPECT_EQ(s.virtualTime(0, p.req(0)->bankIndex), 2u);
 }
 
 TEST(Fqm, RowHitBreaksVirtualTimeTies)
@@ -498,7 +533,7 @@ TEST(Fqm, RowHitBreaksVirtualTimeTies)
     Pool p;
     p.add(tk(10), 0, 0, true, false);
     p.add(tk(20), 1, 1, true, true);
-    EXPECT_EQ(s.choose(p.all(), tk(100), ctx16()), 1);
+    EXPECT_EQ(p.choose(s, tk(100), ctx16()), 1);
 }
 
 // ------------------------------------------------------------------ TCM
@@ -557,7 +592,7 @@ TEST(Tcm, LatencyClusterBeatsBandwidthCluster)
     Pool p;
     p.add(tk(10), 1, 0, true, true);  // Heavy core, older, row hit.
     p.add(tk(90), 0, 1, true, false); // Light core: still wins.
-    EXPECT_EQ(s.choose(p.all(), tk(100), ctx16()), 1);
+    EXPECT_EQ(p.choose(s, tk(100), ctx16()), 1);
 }
 
 TEST(Tcm, RowHitBreaksTiesWithinCluster)
@@ -566,7 +601,7 @@ TEST(Tcm, RowHitBreaksTiesWithinCluster)
     Pool p;
     p.add(tk(10), 0, 0, true, false);
     p.add(tk(20), 1, 1, true, true);
-    EXPECT_EQ(s.choose(p.all(), tk(100), ctx16()), 1);
+    EXPECT_EQ(p.choose(s, tk(100), ctx16()), 1);
 }
 
 TEST(Tcm, StarvedRequestOverridesClusters)
@@ -580,7 +615,7 @@ TEST(Tcm, StarvedRequestOverridesClusters)
           false); // Starved heavy.
     p.add(tk(kBaselineClocks.coreToTicks(2900)), 0, 1, true, true);
     EXPECT_EQ(
-        s.choose(p.all(), tk(kBaselineClocks.coreToTicks(3000)), ctx16()),
+        p.choose(s, tk(kBaselineClocks.coreToTicks(3000)), ctx16()),
         0);
 }
 
@@ -618,9 +653,9 @@ TEST(Tcm, OnlyPicksIssuableCandidates)
     Pool p;
     p.add(tk(10), 0, 0, false, true);
     p.add(tk(20), 1, 1, true, false);
-    EXPECT_EQ(s.choose(p.all(), tk(100), ctx16()), 1);
-    std::vector<Candidate> none;
-    EXPECT_EQ(s.choose(none, tk(100), ctx16()), -1);
+    EXPECT_EQ(p.choose(s, tk(100), ctx16()), 1);
+    Pool none;
+    EXPECT_EQ(none.choose(s, tk(100)), -1);
 }
 
 TEST(Tcm, IoRequestsRankBelowAllCores)
@@ -630,7 +665,7 @@ TEST(Tcm, IoRequestsRankBelowAllCores)
     Pool p;
     p.add(tk(10), kIoCoreId, 0, true, true); // Old IO request.
     p.add(tk(90), 2, 1, true, false);        // Younger core request: wins.
-    EXPECT_EQ(s.choose(p.all(), tk(100), ctx16()), 1);
+    EXPECT_EQ(p.choose(s, tk(100), ctx16()), 1);
 }
 
 // ----------------------------------------------------------------- STFM
@@ -641,7 +676,7 @@ TEST(Stfm, BehavesLikeFrFcfsWhenFair)
     Pool p;
     p.add(tk(50), 0, 0, true, false); // Oldest non-hit.
     p.add(tk(100), 1, 1, true, true); // Younger hit: wins under FR-FCFS.
-    EXPECT_EQ(s.choose(p.all(), tk(300), ctx16()), 1);
+    EXPECT_EQ(p.choose(s, tk(300), ctx16()), 1);
     EXPECT_DOUBLE_EQ(s.unfairness(), 1.0);
 }
 
@@ -652,7 +687,7 @@ TEST(Stfm, SlowdownTracksWaitingTime)
     // Core 0's CAS waited a long time relative to its alone-service
     // estimate: slowdown rises above 1.
     p.add(tk(0), 0, 0, true, true);
-    (void)s.choose(p.all(), tk(kBaselineClocks.dramToTicks(500)),
+    (void)p.choose(s, tk(kBaselineClocks.dramToTicks(500)),
                    ctx16());
     EXPECT_GT(s.slowdownOf(0), 1.0);
     EXPECT_DOUBLE_EQ(s.slowdownOf(1), 1.0); // Idle core.
@@ -667,14 +702,14 @@ TEST(Stfm, ElevatesMostSlowedCoreWhenUnfair)
     for (int i = 0; i < 4; ++i) {
         Pool waitP;
         waitP.add(tk(0), 0, 0, true, true);
-        (void)s.choose(waitP.all(),
+        (void)waitP.choose(s,
                        tk(kBaselineClocks.dramToTicks(400 * (i + 1))),
                        ctx16());
         Pool fastP;
         fastP.add(tk(kBaselineClocks.dramToTicks(400 * (i + 1)) -
                      TickSpan{10}),
                   1, 1, true, true);
-        (void)s.choose(fastP.all(),
+        (void)fastP.choose(s,
                        tk(kBaselineClocks.dramToTicks(400 * (i + 1))),
                        ctx16());
     }
@@ -684,7 +719,7 @@ TEST(Stfm, ElevatesMostSlowedCoreWhenUnfair)
     p.add(tk(kBaselineClocks.coreToTicks(5000)), 1, 1, true, true);
     p.add(tk(kBaselineClocks.coreToTicks(4000)), 0, 0, true, false);
     EXPECT_EQ(
-        s.choose(p.all(), tk(kBaselineClocks.coreToTicks(5100)), ctx16()),
+        p.choose(s, tk(kBaselineClocks.coreToTicks(5100)), ctx16()),
         1);
 }
 
@@ -696,7 +731,7 @@ TEST(Stfm, DecayForgetsOldImbalance)
     StfmScheduler s(4, cfg);
     Pool p;
     p.add(tk(0), 0, 0, true, true);
-    (void)s.choose(p.all(), tk(kBaselineClocks.dramToTicks(500)),
+    (void)p.choose(s, tk(kBaselineClocks.dramToTicks(500)),
                    ctx16());
     EXPECT_GT(s.slowdownOf(0), 1.0);
     s.tick(tk(kBaselineClocks.coreToTicks(200)), ctx16());
@@ -713,7 +748,7 @@ TEST(Stfm, StarvedRequestBeatsEverything)
           false); // Ancient.
     p.add(tk(kBaselineClocks.coreToTicks(1900)), 0, 1, true, true);
     EXPECT_EQ(
-        s.choose(p.all(), tk(kBaselineClocks.coreToTicks(2000)), ctx16()),
+        p.choose(s, tk(kBaselineClocks.coreToTicks(2000)), ctx16()),
         0);
 }
 
@@ -722,7 +757,7 @@ TEST(Stfm, OnlyPicksIssuable)
     StfmScheduler s(4);
     Pool p;
     p.add(tk(10), 0, 0, false, true);
-    EXPECT_EQ(s.choose(p.all(), tk(100), ctx16()), -1);
+    EXPECT_EQ(p.choose(s, tk(100), ctx16()), -1);
 }
 
 // ------------------------------------------------------------ Tie rule
@@ -740,7 +775,7 @@ TEST(PickBest, EqualCandidatesResolveToLowestIndex)
             Pool p;
             p.add(tk(10), 3, 2, true, rowHit);
             p.add(tk(10), 3, 2, true, rowHit);
-            EXPECT_EQ(s->choose(p.all(), tk(100), ctx16()), 0)
+            EXPECT_EQ(p.choose(*s, tk(100), ctx16()), 0)
                 << schedulerKindName(kind) << " rowHit=" << rowHit;
         }
     }
@@ -759,7 +794,7 @@ TEST(SchedulerBanks, LastBankOfA64BankChannelIsIndependent)
         p.add(tk(10), 0, 0, false, false);    // Bank 0 head, blocked.
         p.add(tk(20), 1, kLast, true, false); // Bank 63 head: eligible.
         p.add(tk(30), 2, kLast, true, true);  // Behind it: not eligible.
-        EXPECT_EQ(s.choose(p.all(), tk(100), ctx16()), 1);
+        EXPECT_EQ(p.choose(s, tk(100), ctx16()), 1);
     }
     {
         FqmScheduler s(4);
@@ -773,11 +808,11 @@ TEST(SchedulerBanks, LastBankOfA64BankChannelIsIndependent)
         Pool p;
         p.add(tk(10), 0, kLast, true, false); // Core 0 served at bank 63.
         p.add(tk(20), 1, kLast, true, false);
-        EXPECT_EQ(s.choose(p.all(), tk(100), ctx16()), 1);
+        EXPECT_EQ(p.choose(s, tk(100), ctx16()), 1);
         Pool p0;
         p0.add(tk(10), 0, 0, true, false); // Bank 0: no service yet.
         p0.add(tk(20), 1, 0, true, false);
-        EXPECT_EQ(s.choose(p0.all(), tk(100), ctx16()), 0);
+        EXPECT_EQ(p0.choose(s, tk(100), ctx16()), 0);
     }
 }
 
