@@ -294,17 +294,19 @@ MemController::buildCandidates(Tick now)
     channel_.bankLegality(poolBanks & ~legalBanks_, legal_.data());
     legalBanks_ |= poolBanks;
 
-    for (std::uint64_t m = poolBanks; m; m &= m - 1) {
-        const unsigned bi = lowestSetBit(m);
-        const BankLegality &l = legal_[bi];
-        for (const std::uint32_t q : {kRead, kWrite}) {
-            const BankIndex &ix = index_[q];
+    for (const std::uint32_t q : {kRead, kWrite}) {
+        if (!isActive(q))
+            continue;
+        const BankIndex &ix = index_[q];
+        // A hit waits on the queue's column command, any other request
+        // on its bank's ACT or PRE.
+        const Tick BankLegality::*cas =
+            q == kWrite ? &BankLegality::wr : &BankLegality::rd;
+        for (std::uint64_t m = ix.banks; m; m &= m - 1) {
+            const unsigned bi = lowestSetBit(m);
+            const BankLegality &l = legal_[bi];
             const std::vector<Request *> &reqs = ix.reqs[bi];
-            if (!isActive(q) || reqs.empty())
-                continue;
-            // A hit waits on the queue's column command, any other
-            // request on the bank's ACT or PRE.
-            const Tick casAt = q == kWrite ? l.wr : l.rd;
+            const Tick casAt = l.*cas;
             if (!((ix.gatedBanks >> bi) & 1)) {
                 const Tick hitsAt = ix.hits[bi] > 0 ? casAt : kMaxTick;
                 const Tick othersAt =
